@@ -307,6 +307,10 @@ class VectorFieldFamily:
         self.eta = float(eta)
         self.gamma = float(gamma)
         self.box = box
+        self._matrices = None
+        if all(isinstance(f, LinearField) for f in fields):
+            self._matrices = np.stack([f.matrix for f in fields])
+            self._matrices.setflags(write=False)
 
     def __len__(self):
         return len(self.fields)
@@ -314,6 +318,24 @@ class VectorFieldFamily:
     @property
     def dim(self) -> int:
         return self.fields[0].dim
+
+    def jets(self, x, hessians: bool = False):
+        """Values (..., n, m), Jacobians (..., n, m, m), Hessians (..., n, m, m, m) at x (..., m).
+
+        One point gives (n, m), (n, m, m) and (n, m, m, m).  Hessians are None
+        unless requested, and for an all-linear family, which answers from its
+        (n, m, m) matrix stack without calling a field: its Hessians vanish.
+        """
+        x = np.asarray(x, dtype=float)
+        a = self._matrices
+        if a is not None:
+            vals = np.matmul(a, x[..., None, :, None])[..., 0]
+            jacs = a if x.ndim == 1 else np.broadcast_to(a, x.shape[:-1] + a.shape)
+            return vals, jacs, None
+        vals = np.stack([f.value(x) for f in self.fields], axis=-2)
+        jacs = np.stack([f.jacobian(x) for f in self.fields], axis=-3)
+        hess = np.stack([f.hessian(x) for f in self.fields], axis=-4) if hessians else None
+        return vals, jacs, hess
 
     def component_norms(self, box: Optional[BoxSpec] = None) -> np.ndarray:
         """Sampled sup-box size |sigma_n| + |D sigma_n| + |D2 sigma_n| per field."""

@@ -5,7 +5,10 @@ The solver advances a second-order Taylor scheme cell by cell:
     y <- y + sum_i sigma_i(y) X1_i + sum_{ij} (D sigma_j sigma_i)(y) X2_{ij},
 
 with X1, X2 the level-1/level-2 increments of the driving lift over the
-cell.  Jacobians propagate the derivative of the same scheme, never finite
+cell.  One kernel computes it from the family's stacked field jets with
+plain matmuls; driver flows run the same kernel on the level-2 data
+(1/2) X1 (x) X1 + Anti(X2), which turns it into x + V + W + (1/2) DV V.
+Jacobians propagate the derivative of the same scheme, never finite
 differences of the state, so adaptive substepping cannot desynchronize
 them.  Flows with drift are solved by transformation: the driftless flow
 psi and its Jacobian are computed first, the drift is integrated through
@@ -20,6 +23,7 @@ of area).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -28,7 +32,6 @@ import numpy as np
 from .cocycle import NoiseRealization, shift_omega
 from .drivers import (
     BoxSpec,
-    BracketField,
     CallableField,
     RoughDriver,
     VectorField,
@@ -155,10 +158,11 @@ class _CellTable:
 
     Whole cells read from batched arrays; arbitrary interior times are
     completed geodesically on demand (exact when the lift's nodes coincide
-    with the underlying path's breakpoints).
+    with the underlying path's breakpoints).  level2 maps (X1, X2) to the
+    kernel's level-2 data on every cell; the gauge `flat` measures the lift's X2.
     """
 
-    def __init__(self, lift: SampledRoughPath, nodes: np.ndarray):
+    def __init__(self, lift: SampledRoughPath, nodes: np.ndarray, level2=None):
         sampled = resample_lift(lift, nodes)
         self.nodes = sampled.times
         self.points = sampled.points
@@ -168,8 +172,9 @@ class _CellTable:
         prev = [lvl[:-1] for lvl in levels]
         nxt = [lvl[1:] for lvl in levels]
         incs = batch_mul(batch_inv(prev, d), nxt, d)
+        self._level2 = level2 or (lambda one, two: two)
         self.one = incs[0]
-        self.two = incs[1].reshape(-1, d, d)
+        self.two = self._level2(self.one, incs[1].reshape(-1, d, d))
         self.flat = np.maximum(
             np.linalg.norm(incs[0], axis=1), np.linalg.norm(incs[1], axis=1)
         )
@@ -198,81 +203,43 @@ class _CellTable:
         one = g.piece(1)
         two = g.piece(2)
         flat = max(float(np.linalg.norm(one)), float(np.linalg.norm(two)))
-        return one, two, flat
+        return one, self._level2(one, two), flat
 
 
-# ------------------------------------------------------------ cell updaters
+# -------------------------------------------------------------- cell kernel
+
+
+def _driver_level2(one, two):
+    """(1/2) X1 (x) X1 + Anti(X2), on which the Taylor step is x + V + W + (1/2) DV V."""
+    return 0.5 * (one[..., :, None] * one[..., None, :] + two - np.swapaxes(two, -1, -2))
 
 
 def _make_taylor_update(sigma: VectorFieldFamily):
-    """y + sum_i sigma_i X1_i + sum_ij (D sigma_j sigma_i) X2_ij and its derivative."""
-    fields = sigma.fields
-    eye = np.eye(sigma.dim)
+    """y + X1 . sigma + sum_ij X2_ij (D sigma_j sigma_i) and its derivative, by matmuls.
+
+    With w = X2^T vals (w_j = sum_i X2_ij sigma_i) the step is
+    y + X1 vals + sum_j D sigma_j w_j, and its derivative is
+    I + X1 D sigma + sum_j D2 sigma_j w_j + sum_j D sigma_j (X2^T D sigma)_j;
+    the Hessian term is skipped when the family reports none.
+    """
+    n, m = len(sigma), sigma.dim
+    eye = np.eye(m)
+    jets = sigma.jets
 
     def update(y, one, two, need_jac):
-        vals = [f.value(y) for f in fields]
-        jacs = [f.jacobian(y) for f in fields]
-        dy = np.zeros_like(y)
-        for i, v in enumerate(vals):
-            if one[i] != 0.0:
-                dy += one[i] * v
-        for i in range(len(fields)):
-            for j in range(len(fields)):
-                c = two[i, j]
-                if c != 0.0:
-                    dy += c * (jacs[j] @ vals[i])
+        vals, jacs, hess = jets(y, need_jac)
+        row = jacs.transpose(1, 0, 2).reshape(m, n * m)  # [D sigma_1 | ... | D sigma_n]
+        w = two.T @ vals
+        y2 = y + one @ vals + row @ w.reshape(n * m)
         if not need_jac:
-            return y + dy, None
-        mat = eye.copy()
-        for i, jm in enumerate(jacs):
-            if one[i] != 0.0:
-                mat += one[i] * jm
-        hes = [f.hessian(y) for f in fields]
-        for i in range(len(fields)):
-            for j in range(len(fields)):
-                c = two[i, j]
-                if c != 0.0:
-                    mat += c * (
-                        np.einsum("abk,b->ak", hes[j], vals[i]) + jacs[j] @ jacs[i]
-                    )
-        return y + dy, mat
-
-    return update
-
-
-def _make_driver_update(sigma: VectorFieldFamily):
-    """y + V + W + (1/2) DV V per cell: the second-order driver action on coordinates."""
-    fields = sigma.fields
-    eye = np.eye(sigma.dim)
-    pairs = [(i, j) for i in range(len(fields)) for j in range(i + 1, len(fields))]
-    brackets = {(i, j): BracketField(fields[i], fields[j]) for i, j in pairs}
-
-    def update(y, one, two, need_jac):
-        vals = [f.value(y) for f in fields]
-        jacs = [f.jacobian(y) for f in fields]
-        v = np.zeros_like(y)
-        dv = np.zeros((y.size, y.size))
-        for i, val in enumerate(vals):
-            if one[i] != 0.0:
-                v += one[i] * val
-                dv += one[i] * jacs[i]
-        w = np.zeros_like(y)
-        dw = np.zeros_like(dv)
-        for i, j in pairs:
-            anti = two[i, j] - two[j, i]
-            if anti != 0.0:
-                w += 0.5 * anti * brackets[(i, j)].value(y)
-                if need_jac:
-                    dw += 0.5 * anti * brackets[(i, j)].jacobian(y)
-        dy = v + w + 0.5 * (dv @ v)
-        if not need_jac:
-            return y + dy, None
-        d2v = np.zeros((y.size, y.size, y.size))
-        for i, f in enumerate(fields):
-            if one[i] != 0.0:
-                d2v += one[i] * f.hessian(y)
-        mat = eye + dv + dw + 0.5 * (np.einsum("abk,b->ak", d2v, v) + dv @ dv)
-        return y + dy, mat
+            return y2, None
+        stack = jacs.reshape(n, m * m)  # row i: D sigma_i, flattened
+        mat = eye + (one @ stack).reshape(m, m) + row @ (two.T @ stack).reshape(n * m, m)
+        if hess is not None:
+            # rows (j, b) of D2 sigma_j[a, b, k] against w_j[b]
+            bent = hess.transpose(0, 2, 1, 3).reshape(n * m, m * m)
+            mat += (w.reshape(n * m) @ bent).reshape(m, m)
+        return y2, mat
 
     return update
 
@@ -292,13 +259,18 @@ def _split_segment(table, update, control, a, b, y, jac, depth, retries):
     )
 
 
+def _blown_up(y, limit) -> bool:
+    """True when y holds inf or NaN or leaves [-limit, limit]^m, from one reduction."""
+    peak = float(np.abs(y).max())
+    return not math.isfinite(peak) or peak > limit
+
+
 def _advance_segment(table, update, control, a, b, one, two, flat, y, jac, depth, retries):
     """One (sub-)cell step with gauge splitting and blow-up retries."""
     if flat > control.gauge_threshold and depth < control.max_split_depth:
         return _split_segment(table, update, control, a, b, y, jac, depth, retries)
     y2, mat = update(y, one, two, jac is not None)
-    bad = not np.all(np.isfinite(y2)) or float(np.max(np.abs(y2))) > control.blowup_limit
-    if not bad:
+    if not _blown_up(y2, control.blowup_limit):
         return y2, (mat @ jac if jac is not None else None)
     if retries <= 0 or depth >= control.max_split_depth:
         raise DivergenceError(
@@ -472,6 +444,18 @@ def _solve_grid(interval, step) -> np.ndarray:
     return grid
 
 
+def _kernel_flow(grid, table, update, control, dim, meta) -> FlowMap:
+    """FlowMap whose maps and Jacobians re-run the cell kernel over the table."""
+
+    def advance(s, t, y):
+        return _run(table, update, control, s, t, y, False)[0]
+
+    def advance_jac(s, t, y):
+        return _run(table, update, control, s, t, y, True)
+
+    return FlowMap(grid, advance, dim, advance_jac, meta)
+
+
 def solve_rde(problem: RDEProblem, step: float, control: SolverControl = SolverControl()) -> RDESolution:
     """Integrate dz = sigma(z) dX with the second-order increment scheme.
 
@@ -484,13 +468,6 @@ def solve_rde(problem: RDEProblem, step: float, control: SolverControl = SolverC
     grid = _solve_grid(problem.interval, step)
     table = _CellTable(problem.lift, grid)
     update = _make_taylor_update(problem.sigma)
-
-    def advance(s, t, y):
-        return _run(table, update, control, s, t, y, False)[0]
-
-    def advance_jac(s, t, y):
-        return _run(table, update, control, s, t, y, True)
-
     meta = {"kind": "rde", "step": float(step), "problem": problem, "control": control}
     if problem.noise is not None:
         meta["noise"] = problem.noise
@@ -502,13 +479,18 @@ def solve_rde(problem: RDEProblem, step: float, control: SolverControl = SolverC
             return solve_rde(shifted, step, control).flow
 
         meta["rebuild"] = rebuild
-    flow = FlowMap(grid, advance, problem.sigma.dim, advance_jac, meta)
-    states = [problem.y0.copy()]
-    y = problem.y0.copy()
-    for a, b in zip(grid[:-1], grid[1:]):
-        y = flow.map(float(a), float(b), y)
-        states.append(y)
-    return RDESolution(grid, np.asarray(states), flow)
+    flow = _kernel_flow(grid, table, update, control, problem.sigma.dim, meta)
+    # one sweep over the table's cells: the cell sequence flow.map runs, bit for bit
+    nodes = table.nodes
+    states = np.empty((nodes.size, problem.sigma.dim))
+    states[0] = y = problem.y0
+    for k in range(nodes.size - 1):
+        y, _ = _advance_segment(
+            table, update, control, nodes[k], nodes[k + 1], table.one[k], table.two[k],
+            table.flat[k], y, None, 0, control.retry_halvings,
+        )
+        states[k + 1] = y
+    return RDESolution(grid, states, flow)
 
 
 def solve_driver_flow(
@@ -520,6 +502,10 @@ def solve_driver_flow(
 ) -> FlowMap:
     """Flow of a rough driver: per cell x <- x + V(x) + W(x) + (1/2)(DV V)(x).
 
+    The step is the Taylor kernel of solve_rde run on the level-2 data
+    (1/2) X1 (x) X1 + Anti(X2), on whole, split and partial cells alike;
+    that is this update exactly, and its Jacobian is exactly
+    I + DV + DW + (1/2)(D2V V + DV DV), for any lift, geometric or not.
     Requires the well-posedness regime rho > p/3.
     """
     if not driver.rho > driver.p / 3.0:
@@ -529,15 +515,8 @@ def solve_driver_flow(
             p=driver.p,
         )
     grid = _solve_grid(interval, step)
-    table = _CellTable(driver.lift, grid)
-    update = _make_driver_update(driver.sigma)
-
-    def advance(s, t, y):
-        return _run(table, update, control, s, t, y, False)[0]
-
-    def advance_jac(s, t, y):
-        return _run(table, update, control, s, t, y, True)
-
+    table = _CellTable(driver.lift, grid, _driver_level2)
+    update = _make_taylor_update(driver.sigma)
     meta = {"kind": "driver_flow", "step": float(step), "control": control}
     if noise is not None:
         meta["noise"] = noise
@@ -550,7 +529,7 @@ def solve_driver_flow(
             return solve_driver_flow(moved, new_interval, step, control, new_noise)
 
         meta["rebuild"] = rebuild
-    return FlowMap(grid, advance, driver.sigma.dim, advance_jac, meta)
+    return _kernel_flow(grid, table, update, control, driver.sigma.dim, meta)
 
 
 # ------------------------------------------------------------------- drift
@@ -722,11 +701,8 @@ def drift_transform_solve(
     update = _make_taylor_update(problem.sigma)
     bounds = _subdivide(table, grid, max(p, 1.0), control.drift_delta)
 
-    def psi_with_jac(a, u, y):
-        return _run(table, update, control, a, u, y, True)
-
     def aux_rhs(a, u, y):
-        val, jac = psi_with_jac(a, u, y)
+        val, jac = _run(table, update, control, a, u, y, True)
         cond = float(np.linalg.cond(jac))
         if cond > control.condition_limit:
             raise NumericalError(
@@ -744,7 +720,7 @@ def drift_transform_solve(
             k3 = aux_rhs(a, u + 0.5 * h, y + 0.5 * h * k2)
             k4 = aux_rhs(a, u + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)) or float(np.max(np.abs(y))) > control.blowup_limit:
+            if _blown_up(y, control.blowup_limit):
                 raise DivergenceError(
                     "state exceeded the blow-up guard in the drift stage",
                     time=float(u + h),

@@ -146,6 +146,43 @@ def test_field_family_registry():
         make_field_family("unknown_family")
 
 
+def _stacked(fam, x):
+    return (
+        np.stack([f.value(x) for f in fam.fields], axis=-2),
+        np.stack([f.jacobian(x) for f in fam.fields], axis=-3),
+        np.stack([f.hessian(x) for f in fam.fields], axis=-4),
+    )
+
+
+def test_linear_family_jets_match_per_field_stacking():
+    fam = decaying_linear_fields(5, 3, decay=0.5, seed=2)
+    x = np.random.default_rng(3).normal(size=(7, 3))
+    for pts in (x, x[0]):
+        vals, jacs, hess = fam.jets(pts, hessians=True)
+        want_vals, want_jacs, want_hess = _stacked(fam, pts)
+        assert vals.shape == want_vals.shape and jacs.shape == want_jacs.shape
+        np.testing.assert_allclose(vals, want_vals, rtol=1e-14, atol=1e-15)
+        np.testing.assert_array_equal(jacs, want_jacs)
+        # Hessians of linear fields vanish: the family reports none
+        assert hess is None and not np.any(want_hess)
+    assert fam.jets(x[0])[2] is None
+
+
+def test_mixed_family_jets_take_per_field_path():
+    fam = VectorFieldFamily(
+        [LinearField([[0.3, -1.0], [0.5, 0.2]]), DecayField([1.0, -0.4], eta=0.7, scale=0.9)]
+    )
+    x = np.random.default_rng(4).normal(size=(6, 2))
+    for pts in (x, x[0]):
+        got = fam.jets(pts, hessians=True)
+        for g, want in zip(got, _stacked(fam, pts)):
+            np.testing.assert_array_equal(g, want)
+        vals, jacs, hess = fam.jets(pts)
+        assert hess is None
+        np.testing.assert_array_equal(vals, got[0])
+        np.testing.assert_array_equal(jacs, got[1])
+
+
 # -------------------------------------------------------- driver construction
 
 

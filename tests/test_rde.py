@@ -37,6 +37,8 @@ from roughflow import (
     solve_rde,
     top_lyapunov_estimate,
 )
+from roughflow.paths import SampledRoughPath
+from roughflow.tensor_algebra import GroupElement
 
 
 def _smooth_path_1d(n=1025, span=(0.0, 1.0), amp=0.3, drift=0.5):
@@ -197,6 +199,14 @@ def test_flow_identity_and_grid_composition_bitwise():
     assert np.array_equal(through, flow.map(0.0, 1.0, y))
 
 
+def test_trajectory_is_the_flow_from_the_start_bitwise():
+    lift = signature_lift(_circle_path(), 2, p=1.0)
+    problem = RDEProblem(shear_pair_fields(), lift, np.array([0.3, -0.2]), (0.0, 1.0))
+    sol = solve_rde(problem, 0.05)
+    for k in (1, 7, 20):
+        assert np.array_equal(sol.states[k], sol.flow.map(0.0, sol.times[k], problem.y0))
+
+
 def test_flow_composition_off_grid_within_tolerance():
     path = _circle_path()
     lift = signature_lift(path, 2, p=1.0)
@@ -255,6 +265,37 @@ def test_driver_flow_agrees_with_taylor_scheme():
     assert np.max(np.abs(j1 - j2)) < 1e-8
 
 
+def test_driver_flow_matches_explicit_update_on_non_geometric_lift():
+    # perturb the symmetric part of level 2: the lift stops being geometric,
+    # and the flow must still step x + V + W + (1/2) DV V per cell
+    lift = signature_lift(_brownian_path(21, 17, (0.0, 1.0), dim=2, scale=0.3), 2, p=2.2)
+    bump = np.array([[0.05, 0.02], [0.02, -0.03]])
+    points = [
+        GroupElement(2, 2, [g.levels[0], g.levels[1] + math.sin(3.0 * t) * bump])
+        for t, g in zip(lift.times, lift.points)
+    ]
+    lift = SampledRoughPath(lift.times, points, lift.p)
+    sigma = VectorFieldFamily(
+        [LinearField([[0.2, -0.5], [0.4, 0.1]]), DecayField([-0.2, 1.0], eta=1.0, scale=0.8)]
+    )
+    driver = RoughDriver(sigma, lift, p=2.2, check_geometric=False)
+    control = SolverControl(gauge_threshold=10.0)
+    flow = solve_driver_flow(driver, (0.0, 1.0), 1.0 / 16, control)
+    y0 = np.array([0.4, -0.3])
+    x, jac = y0.copy(), np.eye(2)
+    for s, t in zip(lift.times[:-1], lift.times[1:]):
+        v, dv = driver.V(s, t, x), driver.DV(s, t, x)
+        step = np.eye(2) + dv + driver.DW(s, t, x) + 0.5 * (
+            np.einsum("abk,b->ak", driver.D2V(s, t, x), v) + dv @ dv
+        )
+        x = x + v + driver.W(s, t, x) + 0.5 * dv @ v
+        jac = step @ jac
+    y, j, _ = flow.propagate(0.0, 1.0, y0, with_jacobian=True)
+    assert np.max(np.abs(y - x)) < 1e-12 * np.max(np.abs(x))
+    assert np.max(np.abs(j - jac)) < 1e-12 * np.max(np.abs(jac))
+    assert np.array_equal(flow.map(0.0, 1.0, y0), y)
+
+
 def test_driver_flow_regime_gate():
     path = _circle_path(n=65)
     lift = signature_lift(path, 2, p=2.97)
@@ -272,6 +313,17 @@ def test_blowup_guard_reports_time():
     with pytest.raises(DivergenceError) as info:
         solve_rde(problem, 2**-7)
     assert 0.3 < info.value.details["time"] < 0.7
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blowup_guard_catches_overflow_with_infinite_limit():
+    # with no finite limit the guard must still reject inf and NaN states:
+    # y^2 overflows into NaN, fast linear growth into +inf without a NaN
+    lift = signature_lift(_line_path(n=129), 2)
+    for field in (Poly1DField([0.0, 0.0, 1.0]), LinearField([[5000.0]])):
+        problem = RDEProblem(VectorFieldFamily([field]), lift, np.array([2.0]), (0.0, 1.0))
+        with pytest.raises(DivergenceError):
+            solve_rde(problem, 2**-7, SolverControl(blowup_limit=np.inf))
 
 
 def test_solution_csv_roundtrip():
