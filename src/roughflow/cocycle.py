@@ -38,13 +38,8 @@ from .paths import (
 )
 from .tensor_algebra import (
     batch_distance,
-    batch_element,
-    batch_from_elements,
-    batch_mul,
-    geodesic_point,
+    batch_increments,
     group_distance,
-    identity_element,
-    tensor_inv,
 )
 
 _ALIGN_TOL = 1e-9
@@ -87,8 +82,8 @@ class NoiseRealization:
         a, b = self.omega.span
         if not a <= 0.0 <= b:
             raise ArgumentError("realization span must contain time 0", span=(a, b))
-        anchor = self.omega.point(0.0)
-        gap = group_distance(anchor, identity_element(anchor.dim, anchor.level))
+        anchor = self.omega.node_index(0.0)
+        gap = max(float(np.linalg.norm(lvl[anchor])) for lvl in self.omega.levels)
         if gap > 1e-9:
             raise ArgumentError(
                 "realization is not anchored at the identity at time 0",
@@ -186,41 +181,28 @@ def shift_omega(noise: NoiseRealization, h: float, window=None) -> NoiseRealizat
                 window=(lo, hi),
                 span=(a, b),
             )
-    try:
-        k = lift.node_index(h)
-        aligned = True
-    except ArgumentError:
-        aligned = False
+    k = int(lift.match_nodes(h))
+    aligned = k >= 0
     if aligned:
-        base = lift.points[k]
-        points = list(lift.points)
+        levels = lift.levels
         new_times = times - h
         anchor = k
     else:
         j = int(np.searchsorted(times, h)) - 1
-        frac = (h - times[j]) / (times[j + 1] - times[j])
-        base = geodesic_point(lift.points[j], lift.points[j + 1], frac)
-        points = list(lift.points[: j + 1]) + [base] + list(lift.points[j + 1 :])
+        base = lift.levels_at([h])
+        levels = [np.insert(lvl, j + 1, row, axis=0) for lvl, row in zip(lift.levels, base)]
         new_times = np.concatenate([times[: j + 1] - h, [0.0], times[j + 1 :] - h])
         anchor = j + 1
     new_times[anchor] = 0.0
-    inv_base = tensor_inv(base)
-    flats = batch_from_elements(points)
-    inv_flats = [
-        np.broadcast_to(lvl.reshape(1, -1), (len(points), lvl.size))
-        for lvl in inv_base.levels
-    ]
-    shifted_flats = batch_mul(inv_flats, flats, lift.dim)
-    shifted_points = [
-        batch_element(shifted_flats, i, lift.dim) for i in range(len(points))
-    ]
-    shifted_points[anchor] = identity_element(lift.dim, lift.level)
+    shifted = batch_increments(levels, np.full(new_times.size, anchor), slice(None), lift.dim)
+    for lvl in shifted:
+        lvl[anchor] = 0.0
     meta = dict(noise.meta)
     meta["shift_total"] = float(meta.get("shift_total", 0.0)) + h
     meta["degraded_shift"] = noise.degraded or not aligned
     new_path = shift_path(noise.path, h) if noise.path is not None else None
     return NoiseRealization(
-        SampledRoughPath(new_times, shifted_points, lift.p), meta, path=new_path
+        SampledRoughPath.from_levels(new_times, shifted, lift.p), meta, path=new_path
     )
 
 
@@ -241,7 +223,7 @@ def noise_distance(a: NoiseRealization, b: NoiseRealization) -> float:
     ta, tb = a.omega.times, b.omega.times
     if ta.size != tb.size or not np.allclose(ta, tb, atol=1e-9, rtol=0.0):
         raise ArgumentError("realizations live on different grids")
-    gaps = batch_distance(a.omega.batched_levels(), b.omega.batched_levels())
+    gaps = batch_distance(a.omega.levels, b.omega.levels)
     return float(np.max(gaps))
 
 

@@ -32,7 +32,6 @@ import numpy as np
 from .cocycle import NoiseRealization, regenerated_shift, shift_omega
 from .errors import ArgumentError, NumericalError
 from .paths import SampledRoughPath, geometricity_residual_max, resample_lift
-from .tensor_algebra import GroupElement
 
 _FD_JAC_STEP = 1e-5
 _FD_HESS_STEP = 1e-3
@@ -450,11 +449,12 @@ def _project_lift(lift: SampledRoughPath, count: int) -> SampledRoughPath:
     """Coordinate projection of a lift onto its first `count` components."""
     if count == lift.dim:
         return lift
-    points = []
-    for g in lift.points:
-        levels = [g.levels[k][(slice(0, count),) * (k + 1)].copy() for k in range(g.level)]
-        points.append(GroupElement(count, g.level, levels))
-    return SampledRoughPath(lift.times, points, lift.p)
+    n, d = lift.times.size, lift.dim
+    levels = [
+        lvl.reshape((n,) + (d,) * k)[(slice(None),) + (slice(0, count),) * k].reshape(n, count**k)
+        for k, lvl in enumerate(lift.levels, start=1)
+    ]
+    return SampledRoughPath.from_levels(lift.times, levels, lift.p)
 
 
 class RoughDriver:
@@ -484,7 +484,7 @@ class RoughDriver:
         if check_geometric:
             residual = geometricity_residual_max(lift)
             scale = 1.0 + max(
-                float(np.max(np.abs(lvl))) for lvl in lift.batched_levels()
+                float(np.max(np.abs(lvl))) for lvl in lift.levels
             )
             if residual > 1e-8 * scale:
                 raise ArgumentError(
@@ -851,17 +851,11 @@ def driver_leibniz_residual(driver, s: float, t: float, points) -> float:
 
 def _with_nodes_lift(lift: SampledRoughPath, needed) -> SampledRoughPath:
     """Lift with the needed times present as nodes; no-op when they already are."""
-    times = lift.times
-    spacing = float(np.min(np.diff(times)))
-    tol = 1e-9 * max(spacing, 1.0)
-    missing = [
-        float(t)
-        for t in np.atleast_1d(np.asarray(needed, dtype=float))
-        if float(np.min(np.abs(times - t))) > tol
-    ]
-    if not missing:
+    needed = np.atleast_1d(np.asarray(needed, dtype=float))
+    missing = needed[lift.match_nodes(needed) < 0]
+    if not missing.size:
         return lift
-    return resample_lift(lift, np.union1d(times, missing))
+    return resample_lift(lift, np.union1d(lift.times, missing))
 
 
 def driver_cocycle_residual(

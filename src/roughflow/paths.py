@@ -2,10 +2,13 @@
 
 A path is stored by breakpoints (times, values); between breakpoints it is
 linear, outside its span it is extended constantly (the usual convention for
-finite windows of two-sided noise).  The signature lift anchors every path at
-time 0 with the group identity; increments of a lift are exact signatures of
-the underlying path, so Chen's relation holds by construction and the tests
-can treat any violation as arithmetic noise.
+finite windows of two-sided noise).
+
+A lift is stored as level arrays, level k at n grid nodes as one (n, d**k)
+array.  The signature lift anchors every path at time 0 with the group
+identity and is built level by level from Chen's identity, so its increments
+are exact signatures of the underlying path; times between grid nodes are
+completed along the geodesic of the bracketing increment.
 
 p-variation quantities are computed over breakpoint/grid partitions by dynamic
 programming, which is exact for piecewise-linear data: merging collinear
@@ -26,17 +29,15 @@ from .tensor_algebra import (
     batch_distance,
     batch_from_elements,
     batch_gather,
-    batch_inv,
+    batch_geodesic,
+    batch_increments,
     batch_mul,
-    geodesic_point,
-    identity_element,
-    segment_exponential,
-    tensor_inv,
-    tensor_mul,
+    batch_segment_exponential,
 )
 
 _FLOAT_FMT = "%.17g"
 _MAX_DP_NODES = 4096
+_NODE_TOL = 1e-9  # a time within _NODE_TOL * max(spacing, 1) of a grid node is that node
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -163,52 +164,108 @@ class PiecewiseLinearPath:
 
 
 class SampledRoughPath:
-    """Group-valued path sampled on a time grid, anchored at the identity at 0."""
+    """Group-valued path sampled on a time grid, anchored at the identity at 0.
 
-    __slots__ = ("times", "points", "p")
+    ``levels[k-1]`` is a read-only array of shape (n, d**k): level k at each of
+    the n grid nodes, flattened in C order.  Finiteness is checked once per
+    array.  ``points``, ``point(t)`` and ``increment(s, t)`` are GroupElement
+    views derived from the arrays for the public API and JSON.
+    """
+
+    __slots__ = ("times", "levels", "p", "_tol")
 
     def __init__(self, times, points: Sequence[GroupElement], p: float = 1.0):
         t = _as_times(times)
         if len(points) != t.size:
             raise ArgumentError("one group point per time node", nodes=t.size, points=len(points))
-        first = points[0]
-        for g in points:
-            if g.dim != first.dim or g.level != first.level:
-                raise ArgumentError("points live in different truncated groups")
+        self._store(t, batch_from_elements(points), p)
+
+    @classmethod
+    def from_levels(cls, times, levels, p: float = 1.0) -> "SampledRoughPath":
+        """Lift from flat level arrays of shape (n, d**k); takes ownership of the arrays."""
+        lift = cls.__new__(cls)
+        lift._store(_as_times(times), levels, p)
+        return lift
+
+    def _store(self, t, levels, p) -> None:
+        d = levels[0].shape[1]
+        for k, lvl in enumerate(levels, start=1):
+            if lvl.shape != (t.size, d**k):
+                raise ArgumentError("level array has wrong shape", level=k, expected=(t.size, d**k), got=lvl.shape)
+            if not np.all(np.isfinite(lvl)):
+                raise ArgumentError("non-finite coefficients", level=k)
+            lvl.flags.writeable = False
         if not (p >= 1.0):
             raise ArgumentError("regularity bookkeeping p must be >= 1", p=p)
         self.times = t
-        self.points = list(points)
+        self.levels = tuple(levels)
         self.p = float(p)
+        self._tol = _NODE_TOL * max(float(np.min(np.diff(t))), 1.0)
 
     @property
     def dim(self) -> int:
-        return self.points[0].dim
+        return self.levels[0].shape[1]
 
     @property
     def level(self) -> int:
-        return self.points[0].level
+        return len(self.levels)
 
     @property
     def span(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])
 
+    @property
+    def points(self) -> list:
+        return [self._element(i) for i in range(self.times.size)]
+
+    def _element(self, i: int) -> GroupElement:
+        return GroupElement(self.dim, self.level, [lvl[i] for lvl in self.levels])
+
+    def match_nodes(self, ts) -> np.ndarray:
+        """Index of the grid node within 1e-9 max(spacing, 1) of each time; -1 where none is."""
+        tq = np.asarray(ts, dtype=float)
+        j = np.minimum(np.searchsorted(self.times, tq - self._tol), self.times.size - 1)
+        return np.where(np.abs(self.times[j] - tq) <= self._tol, j, -1)
+
     def node_index(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        spacing = np.min(np.diff(self.times))
-        if abs(self.times[i] - t) > 1e-9 * max(spacing, 1.0) + 1e-12:
-            raise ArgumentError("time is not a grid node; resample_lift first", t=t, nearest=float(self.times[i]))
+        i = int(self.match_nodes(t))
+        if i < 0:
+            nearest = float(self.times[np.argmin(np.abs(self.times - t))])
+            raise ArgumentError("time is not a grid node; resample_lift first", t=t, nearest=nearest)
         return i
 
+    def levels_at(self, ts) -> list:
+        """Flat levels at increasing times inside the span, one row per time.
+
+        Grid nodes give their stored rows exactly; other times are completed on
+        the geodesic of the bracketing increment (linear interpolation at
+        level 1, the group exponential of the scaled log at higher levels).
+        """
+        ts = np.asarray(ts, dtype=float)
+        lo, hi = self.span
+        if ts[0] < lo - 1e-12 or ts[-1] > hi + 1e-12:
+            raise ArgumentError("resample times outside the lift span", span=(lo, hi),
+                                requested=(float(ts[0]), float(ts[-1])))
+        idx = self.match_nodes(ts)
+        out = [lvl[np.maximum(idx, 0)] for lvl in self.levels]
+        off = np.flatnonzero(idx < 0)
+        if off.size:
+            t = self.times
+            j = np.minimum(np.maximum(np.searchsorted(t, ts[off], side="right") - 1, 0), t.size - 2)
+            frac = (ts[off] - t[j]) / (t[j + 1] - t[j])
+            mid = batch_geodesic(batch_gather(self.levels, j), batch_gather(self.levels, j + 1), frac, self.dim)
+            for lvl, row in zip(out, mid):
+                lvl[off] = row
+        return out
+
     def point(self, t: float) -> GroupElement:
-        return self.points[self.node_index(t)]
+        return self._element(self.node_index(t))
 
     def increment(self, s: float, t: float) -> GroupElement:
         """Group increment between grid nodes: point(s)^{-1} (x) point(t)."""
-        return tensor_mul(tensor_inv(self.point(s)), self.point(t))
-
-    def batched_levels(self):
-        return batch_from_elements(self.points)
+        i, j = self.node_index(s), self.node_index(t)
+        inc = batch_increments(batch_gather(self.levels, [i, j]), [0], [1], self.dim)
+        return GroupElement(self.dim, self.level, [lvl[0] for lvl in inc])
 
     def to_json_dict(self) -> dict:
         return {
@@ -222,13 +279,36 @@ class SampledRoughPath:
         return cls(doc["times"], [GroupElement.from_json_dict(g) for g in doc["points"]], doc.get("p", 1.0))
 
 
-def signature_lift(x: PiecewiseLinearPath, level: int, p: float = 1.0) -> SampledRoughPath:
-    """Exact step-level signature lift of a piecewise-linear path.
+def _running_products(exps) -> list:
+    """Levels of P_0 = 1, P_{i+1} = P_i (x) E_i at i = 0..m, given the flat levels of E_0..E_{m-1}.
 
-    Each segment contributes its group exponential; points are running products
-    anchored at the identity at time 0 (inserted as a node when the span covers
-    it, the left endpoint otherwise).  Increments of the result are therefore
-    exact signatures and satisfy Chen's relation identically.
+    Chen's identity level by level: pi_k(P_{i+1}) - pi_k(P_i) is
+    sum_{j=1..k} pi_{k-j}(P_i) (x) pi_j(E_i), whose lower levels are already
+    known at every node, so level k is one cumulative sum over segments.
+    """
+    m = exps[0].shape[0]
+    out = []
+    for k in range(1, len(exps) + 1):
+        step = exps[k - 1]
+        for i in range(1, k):
+            left, right = out[i - 1][:-1], exps[k - i - 1]
+            step = step + np.einsum("bi,bj->bij", left, right).reshape(m, left.shape[1] * right.shape[1])
+        level = np.zeros((m + 1, step.shape[1]))
+        np.cumsum(step, axis=0, out=level[1:])
+        out.append(level)
+    return out
+
+
+def signature_lift(x: PiecewiseLinearPath, level: int, p: float = 1.0) -> SampledRoughPath:
+    """Exact step-level signature lift of a piecewise-linear path, as level arrays.
+
+    The lift is the identity at the anchor, time 0 (inserted as a node when the
+    span covers it, the left endpoint otherwise).  Right of the anchor it is the
+    running product of the segments' group exponentials, left of it the running
+    product of the reversed segments' exponentials; both are built level by
+    level from Chen's identity with one cumulative sum per level.  Increments of
+    the result are therefore exact signatures and satisfy Chen's relation up to
+    rounding.  Coefficients that overflow raise ArgumentError.
     """
     if level > MAX_LEVEL:
         raise ArgumentError("lift level above supported ceiling", level=level, max_level=MAX_LEVEL)
@@ -240,14 +320,10 @@ def signature_lift(x: PiecewiseLinearPath, level: int, p: float = 1.0) -> Sample
         anchor = 0
     x = x.rebase(x.times[anchor])
     increments = np.diff(x.values, axis=0)
-    n = x.times.size
-    points: list[GroupElement | None] = [None] * n
-    points[anchor] = identity_element(x.dim, level)
-    for i in range(anchor, n - 1):
-        points[i + 1] = tensor_mul(points[i], segment_exponential(increments[i], level))
-    for i in range(anchor - 1, -1, -1):
-        points[i] = tensor_mul(points[i + 1], segment_exponential(-increments[i], level))
-    return SampledRoughPath(x.times, points, p)
+    forward = _running_products(batch_segment_exponential(increments[anchor:], level))
+    backward = _running_products(batch_segment_exponential(-increments[:anchor][::-1], level))
+    levels = [np.concatenate([b[:0:-1], f]) for b, f in zip(backward, forward)]
+    return SampledRoughPath.from_levels(x.times, levels, p)
 
 
 def _restrict_nodes(x: PiecewiseLinearPath, interval) -> np.ndarray:
@@ -275,12 +351,6 @@ def p_variation(x: PiecewiseLinearPath, p: float, interval=None) -> float:
     for i in range(1, n):
         f[i] = np.max(f[:i] + weights[:i, i])
     return float(f[-1] ** (1.0 / p))
-
-
-def _pair_increment_levels(lift: SampledRoughPath, i_idx, j_idx):
-    levels = lift.batched_levels()
-    inv_levels = batch_inv(levels, lift.dim)
-    return batch_mul(batch_gather(inv_levels, i_idx), batch_gather(levels, j_idx), lift.dim)
 
 
 def _dp_max_sum(weight: np.ndarray) -> float:
@@ -326,8 +396,8 @@ def homogeneous_pvar_distance(x: SampledRoughPath, y: SampledRoughPath, p: float
         raise ArgumentError("too many grid nodes for the quadratic programme", nodes=n, limit=_MAX_DP_NODES)
     iu = np.triu_indices(n, 1)
     i_idx, j_idx = sel[iu[0]], sel[iu[1]]
-    inc_x = _pair_increment_levels(x, i_idx, j_idx)
-    inc_y = _pair_increment_levels(y, i_idx, j_idx)
+    inc_x = batch_increments(x.levels, i_idx, j_idx, x.dim)
+    inc_y = batch_increments(y.levels, i_idx, j_idx, y.dim)
     best = 0.0
     for k in range(1, x.level + 1):
         norms = np.linalg.norm(inc_x[k - 1] - inc_y[k - 1], axis=1)
@@ -344,7 +414,7 @@ def pvar_norm(lift: SampledRoughPath, p: float, interval=None) -> float:
     sel = _node_window(lift, interval)
     n = sel.size
     iu = np.triu_indices(n, 1)
-    inc = _pair_increment_levels(lift, sel[iu[0]], sel[iu[1]])
+    inc = batch_increments(lift.levels, sel[iu[0]], sel[iu[1]], lift.dim)
     best = 0.0
     for k in range(1, lift.level + 1):
         norms = np.linalg.norm(inc[k - 1], axis=1)
@@ -510,22 +580,7 @@ def resample_lift(lift: SampledRoughPath, new_times) -> SampledRoughPath:
     the group exponential of the scaled log at higher levels).
     """
     ts = _as_times(np.asarray(new_times, dtype=float))
-    lo, hi = lift.span
-    if ts[0] < lo - 1e-12 or ts[-1] > hi + 1e-12:
-        raise ArgumentError("resample times outside the lift span", span=(lo, hi),
-                            requested=(float(ts[0]), float(ts[-1])))
-    spacing = np.min(np.diff(lift.times))
-    points = []
-    for t in ts:
-        i = int(np.argmin(np.abs(lift.times - t)))
-        if abs(lift.times[i] - t) <= 1e-9 * max(spacing, 1.0):
-            points.append(lift.points[i])
-            continue
-        j = int(np.searchsorted(lift.times, t, side="right")) - 1
-        j = min(max(j, 0), lift.times.size - 2)
-        frac = (t - lift.times[j]) / (lift.times[j + 1] - lift.times[j])
-        points.append(geodesic_point(lift.points[j], lift.points[j + 1], float(frac)))
-    return SampledRoughPath(ts, points, lift.p)
+    return SampledRoughPath.from_levels(ts, lift.levels_at(ts), lift.p)
 
 
 def chen_residual_max(lift: SampledRoughPath, max_nodes: int = 64) -> float:
@@ -533,8 +588,6 @@ def chen_residual_max(lift: SampledRoughPath, max_nodes: int = 64) -> float:
     n = lift.times.size
     if n > max_nodes:
         raise ArgumentError("too many nodes for the all-triples sweep", nodes=n, limit=max_nodes)
-    levels = lift.batched_levels()
-    inv_levels = batch_inv(levels, lift.dim)
     pair_id = {}
     pairs_i, pairs_j = [], []
     for i in range(n):
@@ -542,7 +595,7 @@ def chen_residual_max(lift: SampledRoughPath, max_nodes: int = 64) -> float:
             pair_id[(i, j)] = len(pairs_i)
             pairs_i.append(i)
             pairs_j.append(j)
-    incs = batch_mul(batch_gather(inv_levels, np.array(pairs_i)), batch_gather(levels, np.array(pairs_j)), lift.dim)
+    incs = batch_increments(lift.levels, np.array(pairs_i), np.array(pairs_j), lift.dim)
     first, second, whole = [], [], []
     for i in range(n):
         for j in range(i + 1, n):
@@ -563,7 +616,7 @@ def geometricity_residual_max(lift: SampledRoughPath) -> float:
         return 0.0
     n = lift.times.size
     iu = np.triu_indices(n, 1)
-    incs = _pair_increment_levels(lift, iu[0], iu[1])
+    incs = batch_increments(lift.levels, iu[0], iu[1], lift.dim)
     d = lift.dim
     lvl1 = incs[0]
     lvl2 = incs[1].reshape(-1, d, d)

@@ -39,17 +39,9 @@ from .drivers import (
 )
 from .errors import ArgumentError, ConfigError, DivergenceError, NumericalError
 from .paths import SampledRoughPath, resample_lift
-from .tensor_algebra import (
-    batch_from_elements,
-    batch_inv,
-    batch_mul,
-    geodesic_point,
-    tensor_inv,
-    tensor_mul,
-)
+from .tensor_algebra import batch_increments
 
 _FLOAT_FMT = "%.17g"
-_NODE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -156,52 +148,30 @@ class DriftSpec:
 class _CellTable:
     """Precomputed per-cell increments of a lift on a solve grid.
 
-    Whole cells read from batched arrays; arbitrary interior times are
-    completed geodesically on demand (exact when the lift's nodes coincide
-    with the underlying path's breakpoints).  level2 maps (X1, X2) to the
-    kernel's level-2 data on every cell; the gauge `flat` measures the lift's X2.
+    Whole cells are consecutive rows of the resampled level arrays; arbitrary
+    interior times are completed geodesically on demand (exact when the lift's
+    nodes coincide with the underlying path's breakpoints).  level2 maps
+    (X1, X2) to the kernel's level-2 data on every cell; the gauge `flat`
+    measures the lift's X2.
     """
 
     def __init__(self, lift: SampledRoughPath, nodes: np.ndarray, level2=None):
-        sampled = resample_lift(lift, nodes)
-        self.nodes = sampled.times
-        self.points = sampled.points
-        self.dim = sampled.dim
-        d = self.dim
-        levels = batch_from_elements(self.points)
-        prev = [lvl[:-1] for lvl in levels]
-        nxt = [lvl[1:] for lvl in levels]
-        incs = batch_mul(batch_inv(prev, d), nxt, d)
+        self.lift = resample_lift(lift, nodes)
+        self.nodes = self.lift.times
+        d = self.lift.dim
+        incs = batch_increments(self.lift.levels, slice(None, -1), slice(1, None), d)
         self._level2 = level2 or (lambda one, two: two)
         self.one = incs[0]
         self.two = self._level2(self.one, incs[1].reshape(-1, d, d))
         self.flat = np.maximum(
             np.linalg.norm(incs[0], axis=1), np.linalg.norm(incs[1], axis=1)
         )
-        self._spacing = float(np.min(np.diff(self.nodes)))
-
-    def node_index(self, t: float) -> Optional[int]:
-        i = int(np.searchsorted(self.nodes, t))
-        for j in (i - 1, i):
-            if 0 <= j < self.nodes.size and abs(self.nodes[j] - t) <= _NODE_TOL * max(
-                self._spacing, 1.0
-            ):
-                return j
-        return None
-
-    def point_at(self, t: float):
-        i = self.node_index(t)
-        if i is not None:
-            return self.points[i]
-        j = int(np.searchsorted(self.nodes, t, side="right")) - 1
-        j = min(max(j, 0), self.nodes.size - 2)
-        frac = (t - self.nodes[j]) / (self.nodes[j + 1] - self.nodes[j])
-        return geodesic_point(self.points[j], self.points[j + 1], float(frac))
 
     def increment_between(self, a: float, b: float):
-        g = tensor_mul(tensor_inv(self.point_at(a)), self.point_at(b))
-        one = g.piece(1)
-        two = g.piece(2)
+        d = self.lift.dim
+        inc = batch_increments(self.lift.levels_at([a, b]), [0], [1], d)
+        one = inc[0][0]
+        two = inc[1][0].reshape(d, d)
         flat = max(float(np.linalg.norm(one)), float(np.linalg.norm(two)))
         return one, self._level2(one, two), flat
 
@@ -287,31 +257,20 @@ def _run(table, update, control, s, t, y, need_jac):
     jac = np.eye(y.size) if need_jac else None
     if t <= s + 1e-15 * max(1.0, abs(s)):
         return y, jac
-    i = table.node_index(s)
-    j = table.node_index(t)
-    segments = []
-    if i is None or j is None:
-        # partial edges: resolve via geodesic increments
-        lo = int(np.searchsorted(table.nodes, s, side="right"))
-        hi = int(np.searchsorted(table.nodes, t, side="left")) - 1
-        if lo > hi:
-            segments.append((s, t, None))
-        else:
-            if i is None:
-                segments.append((s, table.nodes[lo], None))
-                start = lo
-            else:
-                start = i
-            for k in range(start, hi):
-                segments.append((table.nodes[k], table.nodes[k + 1], k))
-            if j is None:
-                segments.append((table.nodes[hi], t, None))
-            else:
-                for k in range(hi, j):
-                    segments.append((table.nodes[k], table.nodes[k + 1], k))
+    nodes = table.nodes
+    i, j = table.lift.match_nodes((s, t)).tolist()
+    # whole cells between the first and last node inside [s, t]; partial
+    # edges (off-node s or t) resolve via geodesic increments
+    first = i if i >= 0 else int(np.searchsorted(nodes, s, side="right"))
+    last = j if j >= 0 else int(np.searchsorted(nodes, t, side="left")) - 1
+    if first > last:
+        segments = [(s, t, None)]
     else:
-        for k in range(i, j):
-            segments.append((table.nodes[k], table.nodes[k + 1], k))
+        segments = [(nodes[k], nodes[k + 1], k) for k in range(first, last)]
+        if i < 0:
+            segments.insert(0, (s, nodes[first], None))
+        if j < 0:
+            segments.append((nodes[last], t, None))
     for a, b, k in segments:
         if k is None:
             one, two, flat = table.increment_between(a, b)

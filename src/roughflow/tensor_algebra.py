@@ -9,8 +9,12 @@ The flat norm is the maximum over levels (including the scalar 1) of the level
 Frobenius norm.  Frobenius is compatible with the tensor product in the exact
 sense |v (x) w| = |v| |w|, which several invariants below rely on.
 
-Batched variants (leading axis = batch) back the all-pairs/all-triples
-verification routines; they share the arithmetic with the scalar API.
+Batched kernels (leading axis = batch, level k flattened to d**k columns)
+carry every lift: signature lifts, resampling and geodesic completion, cell
+increments, shifts and the all-pairs/all-triples verification sweeps.  The
+scalar log, exp and geodesic are batches of one through them; the scalar
+tensor_mul and tensor_inv stay as written, as the per-element reference the
+tests hold the batched products to.
 """
 
 from __future__ import annotations
@@ -187,35 +191,19 @@ def homogeneous_gauge(g: GroupElement) -> float:
     return best
 
 
+def _as_batch(g: GroupElement):
+    return [lvl.reshape(1, -1) for lvl in g.levels]
+
+
 def group_log(g: GroupElement):
     """Truncated series log(1 + a) = a - a^2/2 + a^3/3 - ...; returns level arrays."""
-    a = [lvl.copy() for lvl in g.levels]
-    total = [lvl.copy() for lvl in a]
-    power = a
-    sign = -1.0
-    for j in range(2, g.level + 1):
-        power = _nilpotent_mul(power, a, g.level)
-        coeff = sign / j
-        for k in range(g.level):
-            if power[k] is not None:
-                total[k] = total[k] + coeff * power[k]
-        sign = -sign
-    return total
+    return [lvl.reshape((g.dim,) * k) for k, lvl in enumerate(batch_log(_as_batch(g), g.dim), start=1)]
 
 
 def group_exp(levels, dim: int, level: int) -> GroupElement:
     """Truncated exp of a series with zero scalar part (inverse of group_log)."""
-    a = [np.zeros((dim,) * k) if levels[k - 1] is None else np.asarray(levels[k - 1], dtype=float)
-         for k in range(1, level + 1)]
-    total = [lvl.copy() for lvl in a]
-    power = a
-    for j in range(2, level + 1):
-        power = _nilpotent_mul(power, a, level)
-        coeff = 1.0 / math.factorial(j)
-        for k in range(level):
-            if power[k] is not None:
-                total[k] = total[k] + coeff * power[k]
-    return GroupElement(dim, level, total)
+    a = [np.asarray(lvl, dtype=float).reshape(1, -1) for lvl in levels]
+    return GroupElement(dim, level, [lvl[0] for lvl in batch_exp(a, dim)])
 
 
 def geodesic_point(g0: GroupElement, g1: GroupElement, frac: float) -> GroupElement:
@@ -224,16 +212,13 @@ def geodesic_point(g0: GroupElement, g1: GroupElement, frac: float) -> GroupElem
     Realized as g0 (x) exp(frac * log(g0^{-1} (x) g1)); frac = 0 and 1 return the
     endpoints up to rounding.
     """
-    inc = tensor_mul(tensor_inv(g0), g1)
-    log_levels = group_log(inc)
-    scaled = [frac * lvl for lvl in log_levels]
-    return tensor_mul(g0, group_exp(scaled, g0.dim, g0.level))
+    _check_pair(g0, g1)
+    out = batch_geodesic(_as_batch(g0), _as_batch(g1), [frac], g0.dim)
+    return GroupElement(g0.dim, g0.level, [lvl[0] for lvl in out])
 
 
 # ---------------------------------------------------------------------------
 # Batched arithmetic: levels stored flat as arrays of shape (B, d**k).
-# Used by the all-pairs / all-triples verification sweeps where per-element
-# Python dispatch would dominate the runtime.
 # ---------------------------------------------------------------------------
 
 
@@ -252,11 +237,6 @@ def batch_from_elements(elements) -> list:
     ]
 
 
-def batch_element(levels, index: int, dim: int) -> GroupElement:
-    n = len(levels)
-    return GroupElement(dim, n, [levels[k][index].reshape((dim,) * (k + 1)) for k in range(n)])
-
-
 def batch_mul(a, b, dim: int):
     level = len(a)
     out = []
@@ -271,7 +251,7 @@ def batch_mul(a, b, dim: int):
     return out
 
 
-def _batch_nilpotent_mul(a, b, dim: int):
+def _batch_nilpotent_mul(a, b):
     level = len(a)
     out = [None] * level
     for k in range(2, level + 1):
@@ -285,17 +265,40 @@ def _batch_nilpotent_mul(a, b, dim: int):
     return out
 
 
-def batch_inv(a, dim: int):
+def _batch_series(a, coeff):
+    """sum_j coeff(j) a^j over j = 1..N for a series a with zero scalar part (coeff(1) = 1)."""
     level = len(a)
-    neg = [-lvl for lvl in a]
-    total = [lvl.copy() for lvl in neg]
-    power = neg
-    for _ in range(2, level + 1):
-        power = _batch_nilpotent_mul(power, neg, dim)
+    total = [lvl.copy() for lvl in a]
+    power = a
+    for j in range(2, level + 1):
+        power = _batch_nilpotent_mul(power, a)
+        c = coeff(j)
         for k in range(level):
             if power[k] is not None:
-                total[k] = total[k] + power[k]
+                total[k] = total[k] + c * power[k]
     return total
+
+
+def batch_inv(a, dim: int):
+    """Group inverse via the truncated Neumann series (1 + a)^{-1} = sum (-a)^j."""
+    return _batch_series([-lvl for lvl in a], lambda j: 1.0)
+
+
+def batch_log(a, dim: int):
+    """Truncated log(1 + a) = sum_j (-1)^{j+1} a^j / j; returns the flat levels of the log."""
+    return _batch_series(a, lambda j: (-1.0) ** (j + 1) / j)
+
+
+def batch_exp(a, dim: int):
+    """Truncated exp of a series with zero scalar part; inverse of batch_log."""
+    return _batch_series(a, lambda j: 1.0 / math.factorial(j))
+
+
+def batch_geodesic(a, b, frac, dim: int):
+    """Per-element a (x) exp(frac * log(a^{-1} (x) b)): the geodesic from a to b at frac."""
+    log_levels = batch_log(batch_mul(batch_inv(a, dim), b, dim), dim)
+    scale = np.asarray(frac, dtype=float).reshape(-1, 1)
+    return batch_mul(a, batch_exp([scale * lvl for lvl in log_levels], dim), dim)
 
 
 def batch_segment_exponential(increments, level: int):
@@ -305,7 +308,7 @@ def batch_segment_exponential(increments, level: int):
     levels = [v.copy()]
     power = v
     for k in range(2, level + 1):
-        power = np.einsum("bi,bj->bij", power.reshape(v.shape[0], -1), v).reshape(v.shape[0], -1) / k
+        power = np.einsum("bi,bj->bij", power, v).reshape(v.shape[0], power.shape[1] * v.shape[1]) / k
         levels.append(power)
     return levels
 
@@ -321,3 +324,8 @@ def batch_distance(a, b):
 
 def batch_gather(levels, indices):
     return [lvl[indices] for lvl in levels]
+
+
+def batch_increments(levels, i, j, dim: int):
+    """Row increments g_i^{-1} (x) g_j of stacked flat levels; i and j index rows (arrays or slices)."""
+    return batch_mul(batch_gather(batch_inv(levels, dim), i), batch_gather(levels, j), dim)

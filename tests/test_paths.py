@@ -22,6 +22,8 @@ from roughflow.paths import (
     signature_lift,
 )
 from roughflow.tensor_algebra import (
+    flat_norm,
+    geodesic_point,
     group_distance,
     identity_element,
     segment_exponential,
@@ -410,6 +412,19 @@ def test_resample_lift_matches_exact_lift_within_segment():
     assert group_distance(mid, exact) < 1e-14
 
 
+def test_resample_lift_matches_scalar_geodesic_off_nodes():
+    rng = np.random.default_rng(19)
+    lift = signature_lift(random_path(rng, 9, 2, t0=-0.6, t1=0.9), 3)
+    off = rng.uniform(-0.6, 0.9, size=12)
+    fine = resample_lift(lift, np.union1d(lift.times, off))
+    points = lift.points
+    for t in off:
+        j = int(np.searchsorted(lift.times, t)) - 1
+        frac = (t - lift.times[j]) / (lift.times[j + 1] - lift.times[j])
+        ref = geodesic_point(points[j], points[j + 1], frac)
+        assert group_distance(fine.point(t), ref) <= 1e-12 * flat_norm(ref)
+
+
 def test_increment_off_node_raises():
     x = PiecewiseLinearPath([0.0, 1.0], [[0.0], [1.0]])
     lift = signature_lift(x, 2)
@@ -424,3 +439,27 @@ def test_sampled_rough_path_json_roundtrip():
     assert np.array_equal(back.times, lift.times)
     for a, b in zip(back.points, lift.points):
         assert group_distance(a, b) == 0.0
+
+
+def test_signature_lift_matches_sequential_scalar_products():
+    # span straddles 0: running products forward and backward from the anchor
+    rng = np.random.default_rng(20)
+    x = random_path(rng, 11, 3, t0=-1.3, t1=1.1)
+    lift = signature_lift(x, 4)
+    anchor = int(np.flatnonzero(lift.times == 0.0)[0])
+    assert 0 < anchor < lift.times.size - 1
+    values = x.value(lift.times)
+    ref = [None] * lift.times.size
+    ref[anchor] = identity_element(3, 4)
+    for i in range(anchor, lift.times.size - 1):
+        ref[i + 1] = tensor_mul(ref[i], segment_exponential(values[i + 1] - values[i], 4))
+    for i in range(anchor - 1, -1, -1):
+        ref[i] = tensor_mul(ref[i + 1], segment_exponential(values[i] - values[i + 1], 4))
+    for got, want in zip(lift.points, ref):
+        assert group_distance(got, want) <= 1e-12 * flat_norm(want)
+
+
+def test_signature_lift_overflow_raises_instead_of_returning_non_finite_levels():
+    x = PiecewiseLinearPath([0.0, 1.0, 2.0], [[0.0], [1e100], [0.0]])
+    with pytest.raises(ArgumentError):
+        signature_lift(x, 4)
