@@ -3,9 +3,11 @@
 A config names a pipeline of stages (sampler, path, driver, solver, check)
 wired by stage name.  Stages execute in order; checks compare a measured
 value against a named tolerance from the config, and the run record lists
-every check exactly once, ending with the wall time.  Exit status: 0 all
-checks pass, 1 a check failed, 2 the config is malformed, 3 a stage failed
-numerically.
+one timed line per stage, then every check exactly once, ending with the
+wall time.  Timings sit only under the key ``wall_time_s``, so two runs of
+one config and seed compare equal once that key is dropped.  Exit status:
+0 all checks pass, 1 a check failed, 2 the config is malformed, 3 a stage
+failed numerically.
 
 All data files are UTF-8; floats are serialized with 17 significant
 digits, so identical config and seed reproduce byte-identical CSV/TSV
@@ -528,6 +530,7 @@ def run_experiment(config, raw, out_dir, seed=None, jobs=1):
     checks = []
     for idx, stage in enumerate(config["pipeline"]):
         kind = stage["kind"]
+        t_stage = time.perf_counter()
         try:
             if kind == "sampler":
                 outputs[stage["name"]] = _exec_sampler(
@@ -566,6 +569,14 @@ def run_experiment(config, raw, out_dir, seed=None, jobs=1):
             raise ConfigError(f"stage {stage['name']!r}: {exc}") from exc
         except RoughflowError as exc:
             raise _StageFailure(stage["name"], exc) from exc
+        record.append(
+            {
+                "record": "stage",
+                "name": stage["name"],
+                "kind": kind,
+                "wall_time_s": time.perf_counter() - t_stage,
+            }
+        )
     record.extend(checks)
     all_pass = all(c["pass"] for c in checks)
     record.append(

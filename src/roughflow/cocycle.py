@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .errors import ArgumentError
 from .gaussian import CovarianceKernel, GaussianSampleConfig, sample_gaussian_paths, uniform_grid
@@ -294,12 +293,10 @@ def weak_cocycle_residual(
     lifted = signature_lift(
         projected.with_nodes(np.append(probes + h, h)), level_count, p=p
     )
-    worst = 0.0
-    for s in probes:
-        left = lifted.increment(h, h + s)
-        right = lifted_shift.point(s)
-        worst = max(worst, float(group_distance(left, right)))
-    return worst
+    rows = lifted.match_nodes(np.append(h, probes + h))
+    left = batch_increments(lifted.levels, np.full(probes.size, rows[0]), rows[1:], lifted.dim)
+    right = lifted_shift.levels_at(probes)
+    return float(np.max(batch_distance(left, right)))
 
 
 @dataclass(frozen=True)
@@ -348,6 +345,8 @@ def stationarity_diagnostic(
     two-sample KS test; the report passes when no comparison rejects at
     the given significance.
     """
+    from scipy.stats import ks_2samp
+
     if len(samples) < 100:
         raise ArgumentError("need at least 100 samples", count=len(samples))
     window = float(window)

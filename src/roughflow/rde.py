@@ -42,6 +42,8 @@ from .paths import SampledRoughPath, resample_lift
 from .tensor_algebra import batch_increments
 
 _FLOAT_FMT = "%.17g"
+# central-difference step of flows without a variational scheme, relative to 1 + |y_k|
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -333,7 +335,7 @@ class FlowMap:
         cols = []
         for k in range(m):
             e = np.zeros(m)
-            e[k] = 1e-6 * (1.0 + abs(y[k]))
+            e[k] = _FD_STEP * (1.0 + abs(y[k]))
             cols.append((self._advance(a, b, y + e) - self._advance(a, b, y - e)) / (2 * e[k]))
         return self._advance(a, b, y), np.stack(cols, axis=1)
 
@@ -638,7 +640,8 @@ def drift_transform_solve(
     at fixed substep, and phi = psi o (aux flow); sub-intervals compose by
     the semiflow property.  Jacobians of phi differentiate the composed
     map directly (the transformation's exact variational system would need
-    second derivatives of psi).
+    second derivatives of psi) by central differences; ``meta["jacobian"]``
+    records the method and its relative step.
     """
     p = problem.regularity
     if not p < 3.0:
@@ -700,6 +703,7 @@ def drift_transform_solve(
         "control": control,
         "growth_report": report,
         "subdivision": bounds,
+        "jacobian": {"method": "central_difference", "relative_step": _FD_STEP},
     }
     if problem.noise is not None:
         meta["noise"] = problem.noise

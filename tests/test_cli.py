@@ -253,6 +253,25 @@ def test_linear_rde_run_and_record_structure(tmp_path, capsys):
         assert text[0].startswith("# x:") and text[1].startswith("# y:")
 
 
+@pytest.mark.parametrize("path", [LINEAR, FBM], ids=["linear_rde", "fbm_cocycle"])
+def test_run_record_has_one_stage_line_per_stage(tmp_path, path):
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    config, _ = load_config(str(path))
+    records = _records(out, config["name"])
+    kinds = [r["record"] for r in records]
+    n = len(config["pipeline"])
+    assert kinds[: n + 1] == ["header"] + ["stage"] * n
+    assert set(kinds[n + 1 : -1]) == {"check"} and kinds[-1] == "summary"
+    stages = records[1 : n + 1]
+    assert [(r["name"], r["kind"]) for r in stages] == [
+        (s["name"], s["kind"]) for s in config["pipeline"]
+    ]
+    for rec in stages:
+        assert set(rec) == {"record", "name", "kind", "wall_time_s"}
+        assert rec["wall_time_s"] >= 0.0
+
+
 def test_fbm_cocycle_residuals_decrease(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(FBM), "--out", str(out)]) == 0
@@ -436,3 +455,13 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "all checks passed" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, roughflow, roughflow.cli\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -16,6 +16,7 @@ from roughflow.cocycle import (
     shift_omega,
     stationarity_diagnostic,
     weak_cocycle_residual,
+    _delta_grid,
 )
 from roughflow.errors import ArgumentError
 from roughflow.gaussian import (
@@ -26,7 +27,12 @@ from roughflow.gaussian import (
     sample_gaussian_path,
     uniform_grid,
 )
-from roughflow.paths import PiecewiseLinearPath, signature_lift
+from roughflow.paths import (
+    PiecewiseLinearPath,
+    piecewise_linear_projection,
+    shift_path,
+    signature_lift,
+)
 from roughflow.tensor_algebra import GroupElement, group_distance, identity_element
 
 
@@ -224,6 +230,33 @@ def test_weak_cocycle_breaks_off_grid():
     )
     res = weak_cocycle_residual(sample, spacing=0.125, h=0.1, level_count=2)
     assert res > 1e-4
+
+
+def _weak_cocycle_per_probe(x, spacing, h, p, level_count=2, max_probes=64):
+    """Reference: the weak cocycle residual compared one probe at a time."""
+    a, b = x.span
+    projected = piecewise_linear_projection(x, _delta_grid(a, b, spacing))
+    grid_y = _delta_grid(a - h, b - h, spacing)
+    shifted = piecewise_linear_projection(shift_path(x, h), grid_y)
+    lifted_shift = signature_lift(shifted, level_count, p=p)
+    probes = grid_y
+    if probes.size > max_probes:
+        probes = probes[np.linspace(0, probes.size - 1, max_probes).astype(int)]
+    lifted = signature_lift(projected.with_nodes(np.append(probes + h, h)), level_count, p=p)
+    return max(
+        group_distance(lifted.increment(h, h + s), lifted_shift.point(s)) for s in probes
+    )
+
+
+@pytest.mark.parametrize("h", [0.25, 0.2371], ids=["aligned", "offgrid"])
+def test_weak_cocycle_matches_per_probe_loop(h):
+    # the bundled fbm_cocycle config: fBm H = 0.4 at level 9, shifts 0.25 and 0.2371
+    noise = dyadic_noise(fbm_covariance(0.4), 9, dim=2, seed=5, p=2.6)[0]
+    for level in (4, 5, 6, 7):
+        spacing = 2.0**-level
+        res = weak_cocycle_residual(noise.path, spacing, h, p=2.6)
+        ref = _weak_cocycle_per_probe(noise.path, spacing, h, p=2.6)
+        assert abs(res - ref) <= 1e-12
 
 
 def test_weak_cocycle_guards():

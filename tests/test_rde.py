@@ -435,6 +435,19 @@ def test_drift_semiflow_identity():
     assert np.max(np.abs(through - flow.map(0.0, 1.0, y))) < 1e-6
 
 
+def test_drift_flow_records_its_jacobian_method():
+    path = _smooth_path_1d(n=129, amp=0.3, drift=0.1)
+    problem = RDEProblem(_scalar_family(), signature_lift(path, 2), np.array([1.0]), (0.0, 1.0))
+    flow = drift_transform_solve(problem, DriftSpec(LinearField([[-0.5]])), 2**-5)
+    info = flow.meta["jacobian"]
+    assert info == {"method": "central_difference", "relative_step": 1e-6}
+    y = np.array([0.8])
+    _, jac, _ = flow.propagate(0.0, 1.0, y, with_jacobian=True)
+    e = info["relative_step"] * (1.0 + abs(y[0]))
+    central = (flow.map(0.0, 1.0, y + e) - flow.map(0.0, 1.0, y - e)) / (2 * e)
+    assert np.array_equal(jac, central[:, None])
+
+
 def test_drift_gate_and_force_override():
     lift = signature_lift(_line_path(n=65, span=(0.0, 0.25)), 2)
     sigma = VectorFieldFamily([ConstantField([0.0])])
