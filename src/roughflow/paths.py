@@ -12,7 +12,8 @@ completed along the geodesic of the bracketing increment.
 
 p-variation quantities are computed over breakpoint/grid partitions by dynamic
 programming, which is exact for piecewise-linear data: merging collinear
-increments never decreases a partition sum when p >= 1.
+increments never decreases a partition sum when p >= 1.  The programme builds
+its pair weights a block of columns at a time, so no n x n array is held.
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ from .tensor_algebra import (
     batch_gather,
     batch_geodesic,
     batch_increments,
+    batch_inv,
     batch_mul,
     batch_segment_exponential,
 )
 
 _FLOAT_FMT = "%.17g"
 _MAX_DP_NODES = 4096
+_BLOCK_FLOATS = 1 << 15  # floats per block of an all-pairs sweep (256 KiB): bounds its memory, stays in cache
 _NODE_TOL = 1e-9  # a time within _NODE_TOL * max(spacing, 1) of a grid node is that node
 
 __all__ = [
@@ -333,6 +336,31 @@ def _restrict_nodes(x: PiecewiseLinearPath, interval) -> np.ndarray:
     return x.restrict(a, b).values
 
 
+def _max_partition_sums(n: int, rows: int, pair_weights, floats_per_pair: int, p: float) -> float:
+    """max over weight rows of (max over partitions of the n nodes of the summed pair weights)^{1/p}.
+
+    Dynamic programme f(j) = max_{i<j} f(i) + w(i, j), one per weight row.
+    pair_weights(i, j) returns the (rows, len(i)) weights of the node pairs
+    (i[m], j[m]).  Columns j are built in order, a block of at most
+    _BLOCK_FLOATS / floats_per_pair pairs at a time (one column at least), so
+    no n x n array is held.
+    """
+    ends = np.cumsum(np.arange(n))  # ends[j]: pairs in columns 1..j
+    budget = max(1, _BLOCK_FLOATS // floats_per_pair)
+    f = np.zeros((rows, n))
+    j = 1
+    while j < n:
+        stop = max(j + 1, int(np.searchsorted(ends, ends[j - 1] + budget, side="right")))
+        cols = np.arange(j, stop)
+        starts = ends[cols - 1] - ends[j - 1]
+        col_idx = np.repeat(cols, cols)
+        w = pair_weights(np.arange(col_idx.size) - np.repeat(starts, cols), col_idx)
+        for c, s in zip(cols, starts):
+            f[:, c] = np.max(f[:, :c] + w[:, s:s + c], axis=1)
+        j = stop
+    return max(float(v) ** (1.0 / p) for v in f[:, -1])
+
+
 def p_variation(x: PiecewiseLinearPath, p: float, interval=None) -> float:
     """p-variation over breakpoint partitions (exact for piecewise-linear paths).
 
@@ -345,20 +373,11 @@ def p_variation(x: PiecewiseLinearPath, p: float, interval=None) -> float:
     n = values.shape[0]
     if n > _MAX_DP_NODES:
         raise ArgumentError("too many breakpoints for the quadratic programme", nodes=n, limit=_MAX_DP_NODES)
-    dist = np.linalg.norm(values[:, None, :] - values[None, :, :], axis=2)
-    weights = dist**p
-    f = np.zeros(n)
-    for i in range(1, n):
-        f[i] = np.max(f[:i] + weights[:i, i])
-    return float(f[-1] ** (1.0 / p))
 
+    def weights(i, j):
+        return (np.linalg.norm(values[i] - values[j], axis=1) ** p)[None]
 
-def _dp_max_sum(weight: np.ndarray) -> float:
-    n = weight.shape[0]
-    f = np.zeros(n)
-    for i in range(1, n):
-        f[i] = np.max(f[:i] + weight[:i, i])
-    return float(f[-1])
+    return _max_partition_sums(n, 1, weights, values.shape[1], p)
 
 
 def _node_window(lift: SampledRoughPath, interval):
@@ -394,34 +413,23 @@ def homogeneous_pvar_distance(x: SampledRoughPath, y: SampledRoughPath, p: float
     n = sel.size
     if n > _MAX_DP_NODES:
         raise ArgumentError("too many grid nodes for the quadratic programme", nodes=n, limit=_MAX_DP_NODES)
-    iu = np.triu_indices(n, 1)
-    i_idx, j_idx = sel[iu[0]], sel[iu[1]]
-    inc_x = batch_increments(x.levels, i_idx, j_idx, x.dim)
-    inc_y = batch_increments(y.levels, i_idx, j_idx, y.dim)
-    best = 0.0
-    for k in range(1, x.level + 1):
-        norms = np.linalg.norm(inc_x[k - 1] - inc_y[k - 1], axis=1)
-        w = np.zeros((n, n))
-        w[iu] = norms ** (p / k)
-        best = max(best, _dp_max_sum(w) ** (1.0 / p))
-    return best
+    d = x.dim
+    xs, ys = batch_gather(x.levels, sel), batch_gather(y.levels, sel)
+    x_inv, y_inv = batch_inv(xs, d), batch_inv(ys, d)
+
+    def weights(i, j):
+        inc_x = batch_mul(batch_gather(x_inv, i), batch_gather(xs, j), d)
+        inc_y = batch_mul(batch_gather(y_inv, i), batch_gather(ys, j), d)
+        return np.stack([np.linalg.norm(a - b, axis=1) ** (p / k)
+                         for k, (a, b) in enumerate(zip(inc_x, inc_y), start=1)])
+
+    return _max_partition_sums(n, x.level, weights, sum(lvl.shape[1] for lvl in xs), p)
 
 
 def pvar_norm(lift: SampledRoughPath, p: float, interval=None) -> float:
-    """Homogeneous p-variation norm of a lift (distance to the constant identity)."""
-    if not (p >= 1.0):
-        raise ArgumentError("p must be >= 1", p=p)
-    sel = _node_window(lift, interval)
-    n = sel.size
-    iu = np.triu_indices(n, 1)
-    inc = batch_increments(lift.levels, sel[iu[0]], sel[iu[1]], lift.dim)
-    best = 0.0
-    for k in range(1, lift.level + 1):
-        norms = np.linalg.norm(inc[k - 1], axis=1)
-        w = np.zeros((n, n))
-        w[iu] = norms ** (p / k)
-        best = max(best, _dp_max_sum(w) ** (1.0 / p))
-    return best
+    """Homogeneous p-variation norm of a lift: its distance to the identity lift on its own grid."""
+    identity = SampledRoughPath.from_levels(lift.times, [np.zeros_like(lvl) for lvl in lift.levels], lift.p)
+    return homogeneous_pvar_distance(lift, identity, p, interval)
 
 
 def glued_pvar_distance(x: SampledRoughPath, y: SampledRoughPath, p: float, max_window: int = 8) -> float:
@@ -611,15 +619,24 @@ def chen_residual_max(lift: SampledRoughPath, max_nodes: int = 64) -> float:
 
 
 def geometricity_residual_max(lift: SampledRoughPath) -> float:
-    """max over node pairs of |Sym(pi_2(inc)) - 0.5 pi_1(inc) (x) pi_1(inc)|."""
+    """max over node pairs s < t of |r(inc(s, t))|, r(g) = Sym(pi_2 g) - 0.5 pi_1 g (x) pi_1 g.
+
+    Expanding the product gives r(g_s^{-1} (x) g_t) = r(g_t) - r(g_s) exactly:
+    the cross terms cancel.  So the maximum over pairs is the diameter of the n
+    node residuals in the flat norm, O(n d^2) work and memory.  Squared distances
+    come from Gram products of the centred residuals, a block of rows at a time.
+    """
     if lift.level < 2:
         return 0.0
-    n = lift.times.size
-    iu = np.triu_indices(n, 1)
-    incs = batch_increments(lift.levels, iu[0], iu[1], lift.dim)
-    d = lift.dim
-    lvl1 = incs[0]
-    lvl2 = incs[1].reshape(-1, d, d)
-    sym = 0.5 * (lvl2 + np.transpose(lvl2, (0, 2, 1)))
-    outer = 0.5 * np.einsum("bi,bj->bij", lvl1, lvl1)
-    return float(np.max(np.linalg.norm((sym - outer).reshape(len(lvl1), -1), axis=1)))
+    n, d = lift.times.size, lift.dim
+    x1 = lift.levels[0]
+    x2 = lift.levels[1].reshape(n, d, d)
+    r = (0.5 * (x2 + np.transpose(x2, (0, 2, 1))) - 0.5 * np.einsum("bi,bj->bij", x1, x1)).reshape(n, -1)
+    c = r - r.mean(axis=0)
+    sq = np.einsum("ij,ij->i", c, c)
+    rows = max(1, _BLOCK_FLOATS // n)
+    best = 0.0
+    for a in range(0, n, rows):
+        gram = c[a:a + rows] @ c[a:].T
+        best = max(best, float(np.max(sq[a:a + rows, None] + sq[None, a:] - 2.0 * gram)))
+    return best**0.5

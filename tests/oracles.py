@@ -2,7 +2,10 @@
 
 Everything here is deliberately written against the definitions (Riemann sums,
 exhaustive enumeration, finite differences) rather than through the library's
-own fast paths, so agreement is evidence and not tautology.
+own fast paths, so agreement is evidence and not tautology.  The all-pairs
+sweeps build the increment of every node pair with the library's group product
+(checked on its own against the scalar tensor_mul) and keep the full n x n
+weight matrix.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from roughflow.tensor_algebra import batch_increments
 
 
 def riemann_iterated_integrals(path_values, level):
@@ -49,6 +54,51 @@ def pvar_exhaustive(values, p):
                 total += dist[a, b] ** p
             best = max(best, total)
     return best ** (1.0 / p)
+
+
+def max_partition_sum(weight):
+    """f(last) of f(j) = max_{i<j} f(i) + weight[i, j] over a full (n, n) weight matrix."""
+    n = weight.shape[0]
+    f = np.zeros(n)
+    for j in range(1, n):
+        f[j] = np.max(f[:j] + weight[:j, j])
+    return float(f[-1])
+
+
+def pvar_all_pairs(values, p):
+    """p-variation over breakpoint partitions from the (n, n) matrix of pair distances."""
+    values = np.asarray(values, dtype=float)
+    dist = np.linalg.norm(values[:, None, :] - values[None, :, :], axis=2)
+    return float(max_partition_sum(dist**p) ** (1.0 / p))
+
+
+def homogeneous_pvar_all_pairs(x_levels, y_levels, dim, p):
+    """Homogeneous p-variation distance of two lifts on one grid, from the increment of every node pair.
+
+    x_levels, y_levels: flat level arrays (n, dim**k) at the same n nodes.
+    """
+    n = x_levels[0].shape[0]
+    iu = np.triu_indices(n, 1)
+    inc_x = batch_increments(x_levels, iu[0], iu[1], dim)
+    inc_y = batch_increments(y_levels, iu[0], iu[1], dim)
+    best = 0.0
+    for k in range(1, len(x_levels) + 1):
+        w = np.zeros((n, n))
+        w[iu] = np.linalg.norm(inc_x[k - 1] - inc_y[k - 1], axis=1) ** (p / k)
+        best = max(best, max_partition_sum(w) ** (1.0 / p))
+    return best
+
+
+def geometricity_residual_all_pairs(x_levels, dim):
+    """max over node pairs of |Sym(pi_2(inc)) - 0.5 pi_1(inc) (x) pi_1(inc)|, one increment per pair."""
+    n = x_levels[0].shape[0]
+    iu = np.triu_indices(n, 1)
+    incs = batch_increments(x_levels, iu[0], iu[1], dim)
+    lvl1 = incs[0]
+    lvl2 = incs[1].reshape(-1, dim, dim)
+    sym = 0.5 * (lvl2 + np.transpose(lvl2, (0, 2, 1)))
+    outer = 0.5 * np.einsum("bi,bj->bij", lvl1, lvl1)
+    return float(np.max(np.linalg.norm((sym - outer).reshape(len(lvl1), -1), axis=1)))
 
 
 def stratonovich_midpoint_integral(xs, ys):

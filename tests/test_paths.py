@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,13 @@ from roughflow.tensor_algebra import (
     tensor_mul,
 )
 
-from oracles import pvar_exhaustive, riemann_iterated_integrals
+from oracles import (
+    geometricity_residual_all_pairs,
+    homogeneous_pvar_all_pairs,
+    pvar_all_pairs,
+    pvar_exhaustive,
+    riemann_iterated_integrals,
+)
 
 
 def random_path(rng, n_nodes, dim, t0=0.0, t1=1.0):
@@ -247,6 +254,103 @@ def test_glued_distance_zero_for_equal_lifts():
     rng = np.random.default_rng(9)
     lift = signature_lift(random_path(rng, 8, 2, t0=-2.0, t1=2.0), 2)
     assert glued_pvar_distance(lift, lift, 2.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# pair sweeps against the all-pairs references
+# ---------------------------------------------------------------------------
+
+
+def window_nodes(times, interval):
+    a, b = interval
+    return np.where((times >= a - 1e-12) & (times <= b + 1e-12))[0]
+
+
+@pytest.mark.parametrize(
+    "dim,level,n_nodes",
+    [(1, 2, 65), (2, 4, 33), (3, 3, 40), (6, 2, 50), (12, 2, 33), (12, 3, 17)],
+)
+def test_geometricity_matches_all_pairs_sweep(dim, level, n_nodes):
+    rng = np.random.default_rng(10 + dim + level)
+    lift = signature_lift(random_path(rng, n_nodes, dim, t0=-1.0, t1=1.5), level)
+    assert abs(geometricity_residual_max(lift) - geometricity_residual_all_pairs(lift.levels, dim)) <= 1e-12
+    # a level-2 offset from node 10 on: only pairs straddling node 10 see it
+    levels = [lvl.copy() for lvl in lift.levels]
+    levels[1][10:] += 0.05 * rng.normal(size=dim * dim)
+    bent = SampledRoughPath.from_levels(lift.times, levels)
+    got = geometricity_residual_max(bent)
+    assert got > 1e-3
+    assert abs(got - geometricity_residual_all_pairs(bent.levels, dim)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 3, 12])
+def test_p_variation_equals_all_pairs_programme(dim):
+    # 300 nodes: the column blocks split every weight matrix into several blocks
+    rng = np.random.default_rng(20 + dim)
+    x = random_path(rng, 300, dim, t0=-1.0, t1=1.0)
+    for p in (1.0, 2.5):
+        assert p_variation(x, p) == pvar_all_pairs(x.values, p)
+        window = (-0.3, 0.62)
+        assert p_variation(x, p, interval=window) == pvar_all_pairs(x.restrict(*window).values, p)
+
+
+def test_homogeneous_distance_and_norm_equal_all_pairs_programme():
+    rng = np.random.default_rng(30)
+    dim, level = 3, 3
+    x = random_path(rng, 120, dim, t0=-0.5, t1=1.0)
+    fine = signature_lift(x, level)
+    other = signature_lift(PiecewiseLinearPath(x.times, rng.uniform(-1, 1, size=x.values.shape)), level)
+    coarse = signature_lift(piecewise_linear_projection(x, np.linspace(-0.5, 1.0, 31)), level)
+    zeros = [np.zeros_like(lvl) for lvl in fine.levels]
+    union = np.union1d(np.round(fine.times, 15), np.round(coarse.times, 15))
+    on_union = [resample_lift(lift, union) for lift in (fine, coarse)]
+    for p in (1.0, 2.5):
+        assert homogeneous_pvar_distance(fine, coarse, p) == homogeneous_pvar_all_pairs(
+            on_union[0].levels, on_union[1].levels, dim, p
+        )
+        assert pvar_norm(fine, p) == homogeneous_pvar_all_pairs(fine.levels, zeros, dim, p)
+        for window in [(-0.2, 0.7), (0.1, 1.0)]:
+            sel = window_nodes(fine.times, window)
+            fine_w = [lvl[sel] for lvl in fine.levels]
+            assert homogeneous_pvar_distance(fine, other, p, interval=window) == homogeneous_pvar_all_pairs(
+                fine_w, [lvl[sel] for lvl in other.levels], dim, p
+            )
+            assert pvar_norm(fine, p, interval=window) == homogeneous_pvar_all_pairs(
+                fine_w, [lvl[sel] for lvl in zeros], dim, p
+            )
+
+
+def test_pvar_norm_rejects_too_many_nodes():
+    x = PiecewiseLinearPath(np.linspace(0.0, 1.0, 4098), np.zeros((4098, 1)))
+    with pytest.raises(ArgumentError):
+        pvar_norm(signature_lift(x, 2), 2.0)
+
+
+def traced_peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_sweeps_hold_no_pair_arrays():
+    # all-pairs arrays would need 112-230 MiB here (257 nodes with d = 12, 1025 with d = 2)
+    rng = np.random.default_rng(40)
+    walks = {}
+    for n_nodes, dim in [(257, 12), (1025, 2), (1025, 3)]:
+        t = np.linspace(0.0, 1.0, n_nodes)
+        walks[n_nodes, dim] = PiecewiseLinearPath(t, np.cumsum(rng.normal(scale=0.125, size=(n_nodes, dim)), axis=0))
+    for key in [(257, 12), (1025, 2)]:
+        path = walks[key]
+        lift = signature_lift(path, 2)
+        coarse = signature_lift(piecewise_linear_projection(path, np.linspace(0.0, 1.0, 65)), 2)
+        assert traced_peak_mib(lambda: geometricity_residual_max(lift)) < 20.0
+        assert traced_peak_mib(lambda: homogeneous_pvar_distance(lift, coarse, 2.5)) < 20.0
+        assert traced_peak_mib(lambda: pvar_norm(lift, 2.5)) < 20.0
+        assert traced_peak_mib(lambda: p_variation(path, 2.5)) < 20.0
+    assert traced_peak_mib(lambda: p_variation(walks[1025, 3], 2.5)) < 5.0
 
 
 # ---------------------------------------------------------------------------
