@@ -13,8 +13,15 @@ expansions (see the tests):
     vector part:         W_{s,t} = (1/2) sum_{i<j} [sigma_i, sigma_j]
                                     (two[i, j] - two[j, i]).
 
-The equivalent double-sum form (1/2) sum_{n,k} [sigma_n, sigma_k]
-two[n, k] is kept as a separate evaluation route for cross-checks.
+Expanding the brackets with A = two - two^T gives the form the driver
+evaluates on the family's stacked jets:
+
+    W_{s,t}(x) = sum_j D sigma_j(x) w_j(x),   w = (1/2) A^T sigma(x),
+
+that is w_j = (1/2) sum_i A[i, j] sigma_i: the Taylor cell kernel's w term
+with (1/2) A in place of two.  The double-sum form (1/2) sum_{n,k}
+[sigma_n, sigma_k] two[n, k] over explicit bracket fields is kept as a
+separate evaluation route for cross-checks.
 
 Spatial norms are sampled estimators on a configured box; the true
 supremum over R^m is not computable and every norm-based check uses the
@@ -23,7 +30,6 @@ same estimator.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -32,6 +38,7 @@ import numpy as np
 from .cocycle import NoiseRealization, regenerated_shift, shift_omega
 from .errors import ArgumentError, NumericalError
 from .paths import SampledRoughPath, geometricity_residual_max, resample_lift
+from .tensor_algebra import batch_gather, batch_increments
 
 _FD_JAC_STEP = 1e-5
 _FD_HESS_STEP = 1e-3
@@ -460,9 +467,11 @@ def _project_lift(lift: SampledRoughPath, count: int) -> SampledRoughPath:
 class RoughDriver:
     """Driver (V, W) induced by a vector-field family and a level-2 lift.
 
-    V_{s,t}(x) = sum_i sigma_i(x) one_i and W_{s,t}(x) pairs the field
-    brackets with the antisymmetric part of the level-2 increment.  All
-    spatial arguments broadcast over leading batch dimensions.
+    V_{s,t}(x) = sum_i sigma_i(x) one_i and W_{s,t}(x) = sum_j D sigma_j(x)
+    w_j with w = (1/2) (two - two^T)^T sigma(x), both contractions of one
+    `sigma.jets` call; DV, D2V and DW add the Jacobians and Hessians.  Lifts
+    of level above 2 contribute their first two levels.  All spatial
+    arguments broadcast over leading batch dimensions.
     """
 
     def __init__(
@@ -500,11 +509,6 @@ class RoughDriver:
             raise ArgumentError(
                 "rho must lie in (p - 2, 1]", rho=self.rho, p=self.p
             )
-        self._pairs = list(itertools.combinations(range(len(sigma)), 2))
-        self._brackets = {
-            (i, j): BracketField(sigma.fields[i], sigma.fields[j])
-            for i, j in self._pairs
-        }
         self._cache: dict = {}
 
     @property
@@ -520,60 +524,48 @@ class RoughDriver:
         return self.lift.dim
 
     def increment(self, s: float, t: float):
-        """(level-1, level-2) arrays of the lift increment over [s, t]."""
-        key = (self.lift.node_index(s), self.lift.node_index(t))
-        if key not in self._cache:
-            g = self.lift.increment(s, t)
-            self._cache[key] = (g.piece(1).copy(), g.piece(2).copy())
-        return self._cache[key]
+        """(level-1, level-2) arrays of the lift increment over [s, t]; both times must be nodes."""
+        i, j = self.lift.node_index(s), self.lift.node_index(t)
+        if (i, j) not in self._cache:
+            d = self.noise_dim
+            one, two = batch_increments(batch_gather(self.lift.levels[:2], [i, j]), [0], [1], d)
+            self._cache[i, j] = (one[0], two[0].reshape(d, d))
+        return self._cache[i, j]
+
+    def _half_antisymmetric(self, s: float, t: float) -> np.ndarray:
+        """(1/2) A with A = two - two^T; W pairs it with the fields through w = (1/2) A^T vals."""
+        _, two = self.increment(s, t)
+        return 0.5 * (two - two.T)
 
     def V(self, s: float, t: float, x) -> np.ndarray:
         one, _ = self.increment(s, t)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for i, f in enumerate(self.sigma.fields):
-            if one[i] != 0.0:
-                out += one[i] * f.value(x)
-        return out
+        return one @ self.sigma.jets(x)[0]
 
     def DV(self, s: float, t: float, x) -> np.ndarray:
         one, _ = self.increment(s, t)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape + (self.state_dim,))
-        for i, f in enumerate(self.sigma.fields):
-            if one[i] != 0.0:
-                out += one[i] * f.jacobian(x)
-        return out
+        return np.einsum("i,...iab->...ab", one, self.sigma.jets(x)[1])
 
     def D2V(self, s: float, t: float, x) -> np.ndarray:
         one, _ = self.increment(s, t)
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape + (self.state_dim, self.state_dim))
-        for i, f in enumerate(self.sigma.fields):
-            if one[i] != 0.0:
-                out += one[i] * f.hessian(x)
-        return out
-
-    def _antisymmetric(self, s: float, t: float) -> np.ndarray:
-        _, two = self.increment(s, t)
-        return two - two.T
+        hess = self.sigma.jets(x, hessians=True)[2]
+        if hess is None:
+            return np.zeros(x.shape + (self.state_dim, self.state_dim))
+        return np.einsum("i,...iabc->...abc", one, hess)
 
     def W(self, s: float, t: float, x) -> np.ndarray:
-        anti = self._antisymmetric(s, t)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for i, j in self._pairs:
-            if anti[i, j] != 0.0:
-                out += 0.5 * anti[i, j] * self._brackets[(i, j)].value(x)
-        return out
+        vals, jacs, _ = self.sigma.jets(x)
+        w = self._half_antisymmetric(s, t).T @ vals
+        return np.einsum("...jab,...jb->...a", jacs, w)
 
     def DW(self, s: float, t: float, x) -> np.ndarray:
-        anti = self._antisymmetric(s, t)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape + (self.state_dim,))
-        for i, j in self._pairs:
-            if anti[i, j] != 0.0:
-                out += 0.5 * anti[i, j] * self._brackets[(i, j)].jacobian(x)
+        """sum_j D sigma_j (1/2 A^T D sigma)_j + sum_j D2 sigma_j w_j."""
+        vals, jacs, hess = self.sigma.jets(x, hessians=True)
+        half = self._half_antisymmetric(s, t)
+        dw = np.einsum("ij,...ibk->...jbk", half, jacs)
+        out = np.einsum("...jab,...jbk->...ak", jacs, dw)
+        if hess is not None:
+            out += np.einsum("...jabk,...jb->...ak", hess, half.T @ vals)
         return out
 
     def second_order_action(self, s, t, grad, hess, x) -> np.ndarray:
@@ -585,20 +577,10 @@ class RoughDriver:
         """
         _, two = self.increment(s, t)
         x = np.asarray(x, dtype=float)
-        g, h = grad(x), hess(x)
-        vals = [f.value(x) for f in self.sigma.fields]
-        jacs = [f.jacobian(x) for f in self.sigma.fields]
-        out = np.zeros(x.shape[:-1])
-        for i in range(self.noise_dim):
-            for j in range(self.noise_dim):
-                if two[i, j] == 0.0:
-                    continue
-                quad = np.einsum("...i,...ij,...j->...", vals[i], h, vals[j])
-                trans = np.einsum(
-                    "...a,...a->...", g, np.einsum("...ai,...i->...a", jacs[j], vals[i])
-                )
-                out += two[i, j] * (quad + trans)
-        return out
+        vals, jacs, _ = self.sigma.jets(x)
+        paired = two.T @ vals  # row j: sum_i two[i, j] sigma_i
+        quad = np.einsum("...ja,...ab,...jb->...", paired, hess(x), vals)
+        return quad + np.einsum("...a,...jab,...jb->...", grad(x), jacs, paired)
 
 
 def driver_from_rough_path(
@@ -653,8 +635,8 @@ def series_vector_part(
 ) -> np.ndarray:
     """W via the literal double sum (1/2) sum_{n,k} [sigma_n, sigma_k] two[n, k].
 
-    Independent evaluation route kept for cross-checking the
-    antisymmetric-pair implementation.
+    Independent evaluation route kept for cross-checking the driver's
+    evaluation on the family jets.
     """
     _, two = driver.increment(s, t)
     x = np.asarray(x, dtype=float)
@@ -671,44 +653,25 @@ def series_vector_part(
 
 
 class _CorruptedDriver:
-    """Wrapper that adds a constant offset to W on one exact (s, t) cell."""
+    """Wrapper that adds a constant offset to W on one exact (s, t) cell.
+
+    Every other attribute is the base driver's.  It is not a RoughDriver, so
+    solvers that require one reject it.
+    """
 
     def __init__(self, base: RoughDriver, s0: float, t0: float, offset):
         self._base = base
         self._s0, self._t0 = float(s0), float(t0)
         self._offset = np.asarray(offset, dtype=float)
-        self.sigma = base.sigma
-        self.lift = base.lift
-        self.p, self.rho = base.p, base.rho
-        self.state_dim, self.noise_dim = base.state_dim, base.noise_dim
-        self.grid = base.grid
 
-    def _hit(self, s, t):
-        return abs(s - self._s0) < 1e-12 and abs(t - self._t0) < 1e-12
-
-    def increment(self, s, t):
-        return self._base.increment(s, t)
-
-    def V(self, s, t, x):
-        return self._base.V(s, t, x)
-
-    def DV(self, s, t, x):
-        return self._base.DV(s, t, x)
-
-    def D2V(self, s, t, x):
-        return self._base.D2V(s, t, x)
+    def __getattr__(self, name):
+        return getattr(self._base, name)
 
     def W(self, s, t, x):
         out = self._base.W(s, t, x)
-        if self._hit(s, t):
+        if abs(s - self._s0) < 1e-12 and abs(t - self._t0) < 1e-12:
             out = out + self._offset
         return out
-
-    def DW(self, s, t, x):
-        return self._base.DW(s, t, x)
-
-    def second_order_action(self, s, t, grad, hess, x):
-        return self._base.second_order_action(s, t, grad, hess, x)
 
 
 def corrupt_driver_cell(driver: RoughDriver, s0: float, t0: float, offset):
@@ -742,19 +705,13 @@ def _quadratic_tests(m: int):
     return tests
 
 
-def _second_order(driver, s, t, grad_fn, hess_mat, x):
-    """(V + VV)(s, t) applied to a quadratic f, via the stored (V, W)."""
-    v = driver.V(s, t, x)
-    w = driver.W(s, t, x)
-    dv = driver.DV(s, t, x)
-    g = grad_fn(x)
-    first = np.einsum("...i,...i->...", g, v)
+def _second_order(v, w, dv, g, hess_mat):
+    """VV applied to a quadratic f with gradient g and Hessian hess_mat, via the stored (V, W)."""
     half_vv = 0.5 * (
         np.einsum("...i,ij,...j->...", v, hess_mat, v)
         + np.einsum("...a,...a->...", g, np.einsum("...ai,...i->...a", dv, v))
     )
-    second = np.einsum("...i,...i->...", g, w) + half_vv
-    return first, second
+    return np.einsum("...i,...i->...", g, w) + half_vv
 
 
 def driver_chen_residual(driver, s: float, u: float, t: float, points) -> float:
@@ -766,14 +723,16 @@ def driver_chen_residual(driver, s: float, u: float, t: float, points) -> float:
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     worst = 0.0
-    v_su = driver.V(s, u, x)
-    dv_ut = driver.DV(u, t, x)
-    v_ut = driver.V(u, t, x)
+    whole, first, second = [
+        (driver.V(a, b, x), driver.W(a, b, x), driver.DV(a, b, x))
+        for a, b in ((s, t), (s, u), (u, t))
+    ]
+    v_su, v_ut, dv_ut = first[0], second[0], second[2]
     for grad_fn, hess in _quadratic_tests(driver.state_dim):
-        _, big = _second_order(driver, s, t, grad_fn, hess, x)
-        _, left = _second_order(driver, s, u, grad_fn, hess, x)
-        _, right = _second_order(driver, u, t, grad_fn, hess, x)
         g = grad_fn(x)
+        big = _second_order(*whole, g, hess)
+        left = _second_order(*first, g, hess)
+        right = _second_order(*second, g, hess)
         cross = np.einsum("...i,ij,...j->...", v_su, hess, v_ut) + np.einsum(
             "...a,...a->...", g, np.einsum("...ai,...i->...a", dv_ut, v_su)
         )
@@ -829,7 +788,8 @@ def driver_leibniz_residual(driver, s: float, t: float, points) -> float:
     def fg(z):
         return f(z) * g(z)
 
-    one, _ = driver.increment(s, t)
+    v = driver.V(s, t, x)
+    dv = driver.DV(s, t, x)
 
     def op(fn):
         vv = driver.second_order_action(
@@ -837,8 +797,6 @@ def driver_leibniz_residual(driver, s: float, t: float, points) -> float:
         )
         grad = _fd_grad(fn, x)
         hess = _fd_hess(fn, x)
-        v = driver.V(s, t, x)
-        dv = driver.DV(s, t, x)
         half = 0.5 * (
             np.einsum("...i,...ij,...j->...", v, hess, v)
             + np.einsum("...a,...a->...", grad, np.einsum("...ai,...i->...a", dv, v))

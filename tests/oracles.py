@@ -14,6 +14,7 @@ import itertools
 
 import numpy as np
 
+from roughflow.drivers import BracketField
 from roughflow.tensor_algebra import batch_increments
 
 
@@ -99,6 +100,47 @@ def geometricity_residual_all_pairs(x_levels, dim):
     sym = 0.5 * (lvl2 + np.transpose(lvl2, (0, 2, 1)))
     outer = 0.5 * np.einsum("bi,bj->bij", lvl1, lvl1)
     return float(np.max(np.linalg.norm((sym - outer).reshape(len(lvl1), -1), axis=1)))
+
+
+def driver_loops(fields, one, two, x):
+    """V, DV, D2V, W and DW of a driver at x, one field or one field pair at a time.
+
+    one (n,) and two (n, n) are the lift increment over the cell; W pairs the
+    bracket [sigma_i, sigma_j] with the antisymmetric part of two, for i < j.
+    """
+    x = np.asarray(x, dtype=float)
+    m = x.shape[-1]
+    v, dv, d2v = np.zeros(x.shape), np.zeros(x.shape + (m,)), np.zeros(x.shape + (m, m))
+    for i, f in enumerate(fields):
+        if one[i] != 0.0:
+            v += one[i] * f.value(x)
+            dv += one[i] * f.jacobian(x)
+            d2v += one[i] * f.hessian(x)
+    anti = two - two.T
+    w, dw = np.zeros(x.shape), np.zeros(x.shape + (m,))
+    for i, j in itertools.combinations(range(len(fields)), 2):
+        if anti[i, j] != 0.0:
+            bracket = BracketField(fields[i], fields[j])
+            w += 0.5 * anti[i, j] * bracket.value(x)
+            dw += 0.5 * anti[i, j] * bracket.jacobian(x)
+    return {"V": v, "DV": dv, "D2V": d2v, "W": w, "DW": dw}
+
+
+def second_order_action_loop(fields, two, grad, hess, x):
+    """sum_{ij} two[i, j] sigma_i(sigma_j f) at x, one field pair at a time."""
+    x = np.asarray(x, dtype=float)
+    g, h = grad(x), hess(x)
+    vals = [f.value(x) for f in fields]
+    jacs = [f.jacobian(x) for f in fields]
+    out = np.zeros(x.shape[:-1])
+    for i in range(len(fields)):
+        for j in range(len(fields)):
+            if two[i, j] == 0.0:
+                continue
+            quad = np.einsum("...i,...ij,...j->...", vals[i], h, vals[j])
+            trans = np.einsum("...a,...a->...", g, np.einsum("...ai,...i->...a", jacs[j], vals[i]))
+            out += two[i, j] * (quad + trans)
+    return out
 
 
 def stratonovich_midpoint_integral(xs, ys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import fd_jacobian
+from oracles import driver_loops, fd_jacobian, second_order_action_loop
 from roughflow.cocycle import NoiseRealization, noise_from_path
 from roughflow.drivers import (
     BoxSpec,
@@ -26,6 +26,7 @@ from roughflow.drivers import (
     lie_bracket,
     make_field_family,
     rotation_fields,
+    scalar_polynomial_fields,
     series_vector_part,
     shear_pair_fields,
 )
@@ -218,16 +219,16 @@ def test_l_path_driver_against_hand_computed_vector_part():
 
 def test_gaussian_driver_matches_rough_path_driver():
     lift = _brownian_lift(seed=7)
-    sigma = rotation_fields(2, decay=0.7)
-    direct = driver_from_rough_path(sigma, lift)
-    series = gaussian_driver(sigma, lift, truncation=2)
     pts = np.random.default_rng(7).uniform(-2, 2, size=(6, 2))
     grid = lift.times
-    for s, t in [(grid[0], grid[8]), (grid[2], grid[14])]:
-        assert np.max(np.abs(direct.V(s, t, pts) - series.V(s, t, pts))) < 1e-10
-        assert np.max(np.abs(direct.W(s, t, pts) - series.W(s, t, pts))) < 1e-10
-        # the literal double-sum route must agree with the pair form
-        assert np.max(np.abs(series_vector_part(direct, s, t, pts) - direct.W(s, t, pts))) < 1e-12
+    for sigma in (rotation_fields(2, decay=0.7), decay_fields(2, 2, eta=1.0, seed=7)):
+        direct = driver_from_rough_path(sigma, lift)
+        series = gaussian_driver(sigma, lift, truncation=2)
+        for s, t in [(grid[0], grid[8]), (grid[2], grid[14])]:
+            assert np.max(np.abs(direct.V(s, t, pts) - series.V(s, t, pts))) < 1e-10
+            assert np.max(np.abs(direct.W(s, t, pts) - series.W(s, t, pts))) < 1e-10
+            # the literal double-sum route must agree with the pair form
+            assert np.max(np.abs(series_vector_part(direct, s, t, pts) - direct.W(s, t, pts))) < 1e-12
 
 
 def test_single_term_series_has_zero_vector_part():
@@ -275,6 +276,80 @@ def test_driver_rejects_bad_regularity_parameters():
         driver_from_rough_path(shear_pair_fields(), lift, p=3.2)
     with pytest.raises(ArgumentError):
         driver_from_rough_path(shear_pair_fields(), lift, p=2.5, rho=0.4)
+
+
+def _oracle_families():
+    return {
+        "linear": decaying_linear_fields(12, 2, decay=0.5, seed=8),
+        "decay": decay_fields(3, 2, eta=1.0, seed=7),
+        "poly": scalar_polynomial_fields([[0.0, 1.0, -0.5, 2.0], [0.3, 0.0, 1.0], [1.0, -1.0, 0.0, 0.2]]),
+        "mixed": VectorFieldFamily(
+            [
+                LinearField([[0.2, -0.5], [0.4, 0.1]]),
+                DecayField([-0.2, 1.0], eta=1.0, scale=0.8),
+                ConstantField([0.6, -0.3]),
+            ]
+        ),
+    }
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("name", ["linear", "decay", "poly", "mixed"])
+def test_driver_jets_match_per_field_loops(name, level):
+    sigma = _oracle_families()[name]
+    n, m = len(sigma), sigma.dim
+    rng = np.random.default_rng(30)
+    t = np.linspace(0.0, 1.0, 17)
+    path = PiecewiseLinearPath(t, np.cumsum(rng.normal(scale=0.3, size=(17, n)), axis=0))
+    driver = driver_from_rough_path(sigma, signature_lift(path, level, p=2.2))
+    a = np.linspace(0.3, 0.7, m)
+
+    def grad(z):
+        return np.cos(z @ a)[..., None] * a
+
+    def hess(z):
+        return -np.sin(z @ a)[..., None, None] * np.outer(a, a)
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    grid = driver.grid
+    for x in (rng.uniform(-2, 2, size=m), rng.uniform(-2, 2, size=(3, 4, m))):
+        for s, u in [(grid[0], grid[-1]), (grid[3], grid[10]), (grid[12], grid[5])]:
+            one, two = driver.increment(s, u)
+            want = driver_loops(sigma.fields, one, two, x)
+            for op in ("V", "DV", "D2V", "W", "DW"):
+                close(getattr(driver, op)(s, u, x), want[op])
+            close(
+                driver.second_order_action(s, u, grad, hess, x),
+                second_order_action_loop(sigma.fields, two, grad, hess, x),
+            )
+
+
+def test_driver_evaluation_builds_no_group_elements(monkeypatch):
+    sigma = decay_fields(3, 2, eta=1.0, seed=31)
+    lift = _brownian_lift(seed=31, dim=3)
+    noise = _pl_noise(seed=31, dim=3)
+    pts = np.random.default_rng(31).uniform(-2, 2, size=(5, 2))
+    built = []
+    init = GroupElement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupElement, "__init__", counting_init)
+    grid = lift.times
+    for driver in (driver_from_rough_path(sigma, lift), gaussian_driver(sigma, lift, truncation=2)):
+        for s, u in [(grid[0], grid[-1]), (grid[3], grid[10])]:
+            for op in (driver.V, driver.W, driver.DW):
+                op(s, u, pts)
+    driver_cocycle_residual(sigma, noise, 0.25, 0.0, 0.5, pts)
+    driver_cocycle_residual(sigma, noise, 0.3, 0.1, 0.45, pts)
+    assert built == []
+    lift.increment(grid[0], grid[4])  # the counter itself sees the view the lift builds
+    assert len(built) == 1
 
 
 # --------------------------------------------------- truncation and decay
