@@ -8,6 +8,10 @@ with X1, X2 the level-1/level-2 increments of the driving lift over the
 cell.  One kernel computes it from the family's stacked field jets with
 plain matmuls; driver flows run the same kernel on the level-2 data
 (1/2) X1 (x) X1 + Anti(X2), which turns it into x + V + W + (1/2) DV V.
+For an all-linear family sigma_i(y) = A_i y the step is exactly y <- M y,
+M = I + sum_i X1_i A_i + sum_{ij} X2_{ij} A_j A_i for any level-2 data, and
+M is also its Jacobian: every whole cell's M is built with the cell table,
+and whole cells below the gauge threshold step by one matmul each.
 Jacobians propagate the derivative of the same scheme, never finite
 differences of the state, so adaptive substepping cannot desynchronize
 them.  Flows with drift are solved by transformation: the driftless flow
@@ -23,7 +27,6 @@ of area).
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -154,10 +157,12 @@ class _CellTable:
     interior times are completed geodesically on demand (exact when the lift's
     nodes coincide with the underlying path's breakpoints).  level2 maps
     (X1, X2) to the kernel's level-2 data on every cell; the gauge `flat`
-    measures the lift's X2.
+    measures the lift's X2.  `update` is sigma's cell step, `mats` each whole cell's step
+    matrix if sigma is all-linear, `hard` the whole cells that _run steps by
+    _advance_segment (all of them without `mats`), followed by the cell count.
     """
 
-    def __init__(self, lift: SampledRoughPath, nodes: np.ndarray, level2=None):
+    def __init__(self, lift: SampledRoughPath, nodes: np.ndarray, sigma, control, level2=None):
         self.lift = resample_lift(lift, nodes)
         self.nodes = self.lift.times
         d = self.lift.dim
@@ -168,6 +173,15 @@ class _CellTable:
         self.flat = np.maximum(
             np.linalg.norm(incs[0], axis=1), np.linalg.norm(incs[1], axis=1)
         )
+        self.control = control
+        self.update, cell_matrices = _cell_kernel(sigma)
+        self.mats = None if cell_matrices is None else cell_matrices(self.one, self.two)
+        split = self.flat > control.gauge_threshold
+        self.hard = np.append(np.flatnonzero(split | (self.mats is None)), split.size)
+        self.report = {  # meta["cell_update"]
+            "method": "taylor_jets" if self.mats is None else "linear_propagator",
+            "split_cells": int(np.count_nonzero(split)),
+        }
 
     def increment_between(self, a: float, b: float):
         d = self.lift.dim
@@ -216,71 +230,110 @@ def _make_taylor_update(sigma: VectorFieldFamily):
     return update
 
 
+def _cell_kernel(sigma: VectorFieldFamily):
+    """sigma's cell step update(y, X1, X2, need_jac) -> (y2, jacobian), and cell_matrices.
+
+    All-linear: y2 = M y with Jacobian M = I + sum_i X1_i A_i + sum_ij X2_ij A_j A_i, and
+    cell_matrices maps (..., n), (..., n, n) to (..., m, m).  Otherwise the jets kernel, None.
+    """
+    a = sigma._matrices
+    if a is None:
+        return _make_taylor_update(sigma), None
+    n, m = a.shape[:2]
+    stack = a.reshape(n, m * m)
+    pairs = np.matmul(a[None], a[:, None]).reshape(n * n, m * m)  # row (i, j): A_j A_i
+    eye = np.eye(m).reshape(m * m)
+
+    def cell_matrices(one, two):
+        lead = one.shape[:-1]
+        return (eye + one @ stack + two.reshape(lead + (n * n,)) @ pairs).reshape(lead + (m, m))
+
+    def update(y, one, two, need_jac):
+        mat = cell_matrices(one, two)
+        return mat @ y, mat
+
+    return update, cell_matrices
+
+
 # -------------------------------------------------------------- propagation
 
 
-def _split_segment(table, update, control, a, b, y, jac, depth, retries):
+def _blown_up(y, limit):
+    """True where a state (the last axis of y) holds inf or NaN or leaves [-limit, limit]^m."""
+    peak = np.abs(y).max(axis=-1)
+    return ~np.isfinite(peak) | (peak > limit)
+
+
+def _advance_segment(table, a, b, y, jac, depth, retries, k=None):
+    """One step over whole cell k, or over [a, b], with gauge splitting and blow-up retries."""
+    control = table.control
+    if k is None:
+        one, two, flat = table.increment_between(a, b)
+    else:
+        one, two, flat = table.one[k], table.two[k], table.flat[k]
+    if not (flat > control.gauge_threshold and depth < control.max_split_depth):
+        y2, mat = table.update(y, one, two, jac is not None)
+        if not _blown_up(y2, control.blowup_limit):
+            return y2, (mat @ jac if jac is not None else None)
+        if retries <= 0 or depth >= control.max_split_depth:
+            raise DivergenceError(
+                "state exceeded the blow-up guard", time=float(b), limit=control.blowup_limit
+            )
+        retries -= 1
+    # split at the midpoint: the gauge is too large, or the state blew up
     mid = 0.5 * (a + b)
-    one1, two1, flat1 = table.increment_between(a, mid)
-    one2, two2, flat2 = table.increment_between(mid, b)
-    y, jac = _advance_segment(
-        table, update, control, a, mid, one1, two1, flat1, y, jac, depth + 1, retries
-    )
-    return _advance_segment(
-        table, update, control, mid, b, one2, two2, flat2, y, jac, depth + 1, retries
-    )
+    y, jac = _advance_segment(table, a, mid, y, jac, depth + 1, retries)
+    return _advance_segment(table, mid, b, y, jac, depth + 1, retries)
 
 
-def _blown_up(y, limit) -> bool:
-    """True when y holds inf or NaN or leaves [-limit, limit]^m, from one reduction."""
-    peak = float(np.abs(y).max())
-    return not math.isfinite(peak) or peak > limit
+def _lane(table, k, stop, y, jac, rows):
+    """Whole cells k..stop-1 by y <- M_c y, states into rows[1:] (rows[0] holds y); returns
+    (end, y, jac) with y the state at node end, and end < stop if cell end blew up."""
+    with np.errstate(over="ignore", invalid="ignore"):  # states past a blow-up are dropped
+        for i, mat in enumerate(table.mats[k:stop], 1):
+            y = rows[i] = mat @ y
+    bad = np.flatnonzero(_blown_up(rows[1 : stop - k + 1], table.control.blowup_limit))
+    end = k + int(bad[0]) if bad.size else stop
+    if jac is not None:
+        for mat in table.mats[k:end]:
+            jac = mat @ jac
+    return end, (y if end == stop else rows[end - k]), jac
 
 
-def _advance_segment(table, update, control, a, b, one, two, flat, y, jac, depth, retries):
-    """One (sub-)cell step with gauge splitting and blow-up retries."""
-    if flat > control.gauge_threshold and depth < control.max_split_depth:
-        return _split_segment(table, update, control, a, b, y, jac, depth, retries)
-    y2, mat = update(y, one, two, jac is not None)
-    if not _blown_up(y2, control.blowup_limit):
-        return y2, (mat @ jac if jac is not None else None)
-    if retries <= 0 or depth >= control.max_split_depth:
-        raise DivergenceError(
-            "state exceeded the blow-up guard",
-            time=float(b),
-            limit=control.blowup_limit,
-        )
-    return _split_segment(table, update, control, a, b, y, jac, depth, retries - 1)
+def _run(table, s, t, y, need_jac, out=None):
+    """Advance the scheme from s to t (s <= t within the table span).
 
-
-def _run(table, update, control, s, t, y, need_jac):
-    """Advance the scheme from s to t (s <= t within the table span)."""
+    Whole cells at or below the gauge threshold run by _lane when the table
+    has cell matrices; all other cells, partial edges and cells that blew up
+    in the lane run by _advance_segment.  out receives the node states.
+    """
     y = np.array(y, dtype=float)
     jac = np.eye(y.size) if need_jac else None
     if t <= s + 1e-15 * max(1.0, abs(s)):
         return y, jac
     nodes = table.nodes
     i, j = table.lift.match_nodes((s, t)).tolist()
-    # whole cells between the first and last node inside [s, t]; partial
-    # edges (off-node s or t) resolve via geodesic increments
+    # whole cells run from node first to node last; off-node s or t add partial edges
     first = i if i >= 0 else int(np.searchsorted(nodes, s, side="right"))
     last = j if j >= 0 else int(np.searchsorted(nodes, t, side="left")) - 1
+    retries = table.control.retry_halvings
     if first > last:
-        segments = [(s, t, None)]
-    else:
-        segments = [(nodes[k], nodes[k + 1], k) for k in range(first, last)]
-        if i < 0:
-            segments.insert(0, (s, nodes[first], None))
-        if j < 0:
-            segments.append((nodes[last], t, None))
-    for a, b, k in segments:
-        if k is None:
-            one, two, flat = table.increment_between(a, b)
-        else:
-            one, two, flat = table.one[k], table.two[k], table.flat[k]
-        y, jac = _advance_segment(
-            table, update, control, a, b, one, two, flat, y, jac, 0, control.retry_halvings
-        )
+        return _advance_segment(table, s, t, y, jac, 0, retries)
+    if i < 0:
+        y, jac = _advance_segment(table, s, nodes[first], y, jac, 0, retries)
+    rows = np.empty((last - first + 1, y.size)) if out is None else out
+    rows[0] = y
+    k = first
+    while k < last:
+        h = min(int(table.hard[np.searchsorted(table.hard, k)]), last)
+        if k < h:
+            k, y, jac = _lane(table, k, h, y, jac, rows[k - first :])
+        if k < last:  # a split or jets cell, or a lane cell redone from its start state
+            y, jac = _advance_segment(table, nodes[k], nodes[k + 1], y, jac, 0, retries, k)
+            rows[k - first + 1] = y
+            k += 1
+    if j < 0:
+        y, jac = _advance_segment(table, nodes[last], t, y, jac, 0, retries)
     return y, jac
 
 
@@ -295,7 +348,9 @@ class FlowMap:
     spectral norm as an exactly-accumulated scalar so that long-horizon
     products never overflow.  psi(s, s) is the identity, and composition
     over grid nodes is exact because both sides run the identical cell
-    sequence.
+    sequence.  For an all-linear family a whole cell below the gauge threshold
+    is y <- M_k y, M_k = I + sum_i X1_i A_i + sum_ij X2_ij A_j A_i, and the
+    Jacobian is the product of the M_k; the state is the same with or without it.
     """
 
     def __init__(self, grid, advance, state_dim, advance_jac=None, meta=None):
@@ -405,15 +460,16 @@ def _solve_grid(interval, step) -> np.ndarray:
     return grid
 
 
-def _kernel_flow(grid, table, update, control, dim, meta) -> FlowMap:
+def _kernel_flow(grid, table, dim, meta) -> FlowMap:
     """FlowMap whose maps and Jacobians re-run the cell kernel over the table."""
 
     def advance(s, t, y):
-        return _run(table, update, control, s, t, y, False)[0]
+        return _run(table, s, t, y, False)[0]
 
     def advance_jac(s, t, y):
-        return _run(table, update, control, s, t, y, True)
+        return _run(table, s, t, y, True)
 
+    meta["cell_update"] = table.report
     return FlowMap(grid, advance, dim, advance_jac, meta)
 
 
@@ -421,14 +477,17 @@ def solve_rde(problem: RDEProblem, step: float, control: SolverControl = SolverC
     """Integrate dz = sigma(z) dX with the second-order increment scheme.
 
     Returns the trajectory on the solve grid together with the FlowMap; the
-    flow re-runs the same scheme for arbitrary (s, t) inside the interval.
+    flow re-runs the same scheme for arbitrary (s, t) inside the interval, and
+    the trajectory is its run from the start.  For an all-linear family
+    sigma_i(y) = A_i y, whole cells below the gauge threshold step by y <- M_k y,
+    M_k = I + sum_i X1_i A_i + sum_ij X2_ij A_j A_i built once per cell.
+    ``flow.meta["cell_update"]`` records the step used and the split cell count.
     """
     p = problem.regularity
     if not p < 3.0:
         raise ArgumentError("scheme needs p < 3 (one level of area)", p=p)
     grid = _solve_grid(problem.interval, step)
-    table = _CellTable(problem.lift, grid)
-    update = _make_taylor_update(problem.sigma)
+    table = _CellTable(problem.lift, grid, problem.sigma, control)
     meta = {"kind": "rde", "step": float(step), "problem": problem, "control": control}
     if problem.noise is not None:
         meta["noise"] = problem.noise
@@ -440,17 +499,9 @@ def solve_rde(problem: RDEProblem, step: float, control: SolverControl = SolverC
             return solve_rde(shifted, step, control).flow
 
         meta["rebuild"] = rebuild
-    flow = _kernel_flow(grid, table, update, control, problem.sigma.dim, meta)
-    # one sweep over the table's cells: the cell sequence flow.map runs, bit for bit
-    nodes = table.nodes
-    states = np.empty((nodes.size, problem.sigma.dim))
-    states[0] = y = problem.y0
-    for k in range(nodes.size - 1):
-        y, _ = _advance_segment(
-            table, update, control, nodes[k], nodes[k + 1], table.one[k], table.two[k],
-            table.flat[k], y, None, 0, control.retry_halvings,
-        )
-        states[k + 1] = y
+    flow = _kernel_flow(grid, table, problem.sigma.dim, meta)
+    states = np.empty((grid.size, problem.sigma.dim))
+    _run(table, grid[0], grid[-1], problem.y0, False, out=states)
     return RDESolution(grid, states, flow)
 
 
@@ -476,8 +527,7 @@ def solve_driver_flow(
             p=driver.p,
         )
     grid = _solve_grid(interval, step)
-    table = _CellTable(driver.lift, grid, _driver_level2)
-    update = _make_taylor_update(driver.sigma)
+    table = _CellTable(driver.lift, grid, driver.sigma, control, _driver_level2)
     meta = {"kind": "driver_flow", "step": float(step), "control": control}
     if noise is not None:
         meta["noise"] = noise
@@ -490,7 +540,7 @@ def solve_driver_flow(
             return solve_driver_flow(moved, new_interval, step, control, new_noise)
 
         meta["rebuild"] = rebuild
-    return _kernel_flow(grid, table, update, control, driver.sigma.dim, meta)
+    return _kernel_flow(grid, table, driver.sigma.dim, meta)
 
 
 # ------------------------------------------------------------------- drift
@@ -659,12 +709,11 @@ def drift_transform_solve(
             c1_doubled=report.c1_doubled,
         )
     grid = _solve_grid(problem.interval, step)
-    table = _CellTable(problem.lift, grid)
-    update = _make_taylor_update(problem.sigma)
+    table = _CellTable(problem.lift, grid, problem.sigma, control)
     bounds = _subdivide(table, grid, max(p, 1.0), control.drift_delta)
 
     def aux_rhs(a, u, y):
-        val, jac = _run(table, update, control, a, u, y, True)
+        val, jac = _run(table, a, u, y, True)
         cond = float(np.linalg.cond(jac))
         if cond > control.condition_limit:
             raise NumericalError(
@@ -689,7 +738,7 @@ def drift_transform_solve(
                     limit=control.blowup_limit,
                 )
             u += h
-        return _run(table, update, control, a, b, y, False)[0]
+        return _run(table, a, b, y, False)[0]
 
     def advance(s, t, y):
         cuts = [s] + [float(c) for c in bounds if s < c < t] + [t]
@@ -704,6 +753,7 @@ def drift_transform_solve(
         "growth_report": report,
         "subdivision": bounds,
         "jacobian": {"method": "central_difference", "relative_step": _FD_STEP},
+        "cell_update": table.report,
     }
     if problem.noise is not None:
         meta["noise"] = problem.noise

@@ -14,6 +14,7 @@ import scipy.linalg
 
 from roughflow import (
     ArgumentError,
+    CallableField,
     ConfigError,
     ConstantField,
     DecayField,
@@ -265,35 +266,152 @@ def test_driver_flow_agrees_with_taylor_scheme():
     assert np.max(np.abs(j1 - j2)) < 1e-8
 
 
-def test_driver_flow_matches_explicit_update_on_non_geometric_lift():
-    # perturb the symmetric part of level 2: the lift stops being geometric,
-    # and the flow must still step x + V + W + (1/2) DV V per cell
+def _non_geometric_lift():
+    # perturb the symmetric part of level 2: the lift stops being geometric
     lift = signature_lift(_brownian_path(21, 17, (0.0, 1.0), dim=2, scale=0.3), 2, p=2.2)
     bump = np.array([[0.05, 0.02], [0.02, -0.03]])
     points = [
         GroupElement(2, 2, [g.levels[0], g.levels[1] + math.sin(3.0 * t) * bump])
         for t, g in zip(lift.times, lift.points)
     ]
-    lift = SampledRoughPath(lift.times, points, lift.p)
-    sigma = VectorFieldFamily(
-        [LinearField([[0.2, -0.5], [0.4, 0.1]]), DecayField([-0.2, 1.0], eta=1.0, scale=0.8)]
-    )
-    driver = RoughDriver(sigma, lift, p=2.2, check_geometric=False)
-    control = SolverControl(gauge_threshold=10.0)
-    flow = solve_driver_flow(driver, (0.0, 1.0), 1.0 / 16, control)
-    y0 = np.array([0.4, -0.3])
-    x, jac = y0.copy(), np.eye(2)
-    for s, t in zip(lift.times[:-1], lift.times[1:]):
-        v, dv = driver.V(s, t, x), driver.DV(s, t, x)
-        step = np.eye(2) + dv + driver.DW(s, t, x) + 0.5 * (
-            np.einsum("abk,b->ak", driver.D2V(s, t, x), v) + dv @ dv
+    return SampledRoughPath(lift.times, points, lift.p)
+
+
+def test_driver_flow_matches_explicit_update_on_non_geometric_lift():
+    # on a non-geometric lift the flow must still step x + V + W + (1/2) DV V
+    # per cell, through the jets kernel (mixed family) and the cell matrices
+    # (all-linear family) alike
+    lift = _non_geometric_lift()
+    linear = LinearField([[0.2, -0.5], [0.4, 0.1]])
+    seconds = (DecayField([-0.2, 1.0], eta=1.0, scale=0.8), LinearField([[0.1, 0.3], [-0.6, 0.2]]))
+    for second in seconds:
+        sigma = VectorFieldFamily([linear, second])
+        driver = RoughDriver(sigma, lift, p=2.2, check_geometric=False)
+        control = SolverControl(gauge_threshold=10.0)
+        flow = solve_driver_flow(driver, (0.0, 1.0), 1.0 / 16, control)
+        y0 = np.array([0.4, -0.3])
+        x, jac = y0.copy(), np.eye(2)
+        for s, t in zip(lift.times[:-1], lift.times[1:]):
+            v, dv = driver.V(s, t, x), driver.DV(s, t, x)
+            step = np.eye(2) + dv + driver.DW(s, t, x) + 0.5 * (
+                np.einsum("abk,b->ak", driver.D2V(s, t, x), v) + dv @ dv
+            )
+            x = x + v + driver.W(s, t, x) + 0.5 * dv @ v
+            jac = step @ jac
+        y, j, _ = flow.propagate(0.0, 1.0, y0, with_jacobian=True)
+        assert np.max(np.abs(y - x)) < 1e-12 * np.max(np.abs(x))
+        assert np.max(np.abs(j - jac)) < 1e-12 * np.max(np.abs(jac))
+        assert np.array_equal(flow.map(0.0, 1.0, y0), y)
+
+
+# ------------------------------------------------- linear cell matrices
+
+_LANE_MATRICES = (
+    np.array([[0.3, 0.9], [-0.4, 0.1]]),
+    np.array([[0.1, -0.2], [0.5, 0.2]]),
+)
+
+
+def _jets_reference(matrices):
+    """The same linear fields as CallableFields, so the flow runs the jets kernel."""
+    fields = []
+    for a in matrices:
+        m = a.shape[0]
+        fields.append(
+            CallableField(
+                lambda x, a=a: x @ a.T,
+                m,
+                jac=lambda x, a=a: np.broadcast_to(a, x.shape + (m,)).copy(),
+                hess=lambda x, m=m: np.zeros(x.shape + (m, m)),
+            )
         )
-        x = x + v + driver.W(s, t, x) + 0.5 * dv @ v
-        jac = step @ jac
-    y, j, _ = flow.propagate(0.0, 1.0, y0, with_jacobian=True)
-    assert np.max(np.abs(y - x)) < 1e-12 * np.max(np.abs(x))
-    assert np.max(np.abs(j - jac)) < 1e-12 * np.max(np.abs(jac))
-    assert np.array_equal(flow.map(0.0, 1.0, y0), y)
+    return VectorFieldFamily(fields)
+
+
+def _jumpy_lift(jumps=(3, 10)):
+    # small Brownian steps plus a unit jump inside each listed cell of a
+    # 16-cell grid; four path segments per cell give every cell an area
+    path = _brownian_path(5, 65, (0.0, 1.0), dim=2, scale=0.2)
+    steps = np.diff(path.values, axis=0)
+    for k in jumps:
+        steps[4 * k + 1] += [1.0, -0.5]
+    values = np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+    return signature_lift(PiecewiseLinearPath(path.times, values), 2, p=2.2)
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_cell_update_is_recorded_with_its_split_count():
+    lift = _jumpy_lift()
+    y0 = np.array([0.4, -0.3])
+    families = {
+        "linear_propagator": VectorFieldFamily([LinearField(a) for a in _LANE_MATRICES]),
+        "taylor_jets": VectorFieldFamily([DecayField([1.0, 0.3]), DecayField([-0.2, 1.0])]),
+    }
+    for method, sigma in families.items():
+        problem = RDEProblem(sigma, lift, y0, (0.0, 1.0), p=2.2)
+        flows = (
+            solve_rde(problem, 1.0 / 16).flow,
+            solve_driver_flow(RoughDriver(sigma, lift, p=2.2), (0.0, 1.0), 1.0 / 16),
+            drift_transform_solve(problem, DriftSpec(LinearField(-np.eye(2))), 1.0 / 16),
+        )
+        for flow in flows:
+            # the two jump cells exceed the default gauge threshold 0.5
+            assert flow.meta["cell_update"] == {"method": method, "split_cells": 2}
+    flow = solve_rde(problem, 1.0 / 16, SolverControl(gauge_threshold=10.0)).flow
+    assert flow.meta["cell_update"]["split_cells"] == 0
+
+
+def test_cell_matrices_match_the_jets_kernel():
+    lane = VectorFieldFamily([LinearField(a) for a in _LANE_MATRICES])
+    jets = _jets_reference(_LANE_MATRICES)
+    y0 = np.array([0.4, -0.3])
+    # cells span several path segments, so X2 has an antisymmetric part
+    brownian = signature_lift(_brownian_path(3, 257, (0.0, 1.0), dim=2), 2, p=2.2)
+    for lift in (brownian, _jumpy_lift()):
+        sols = [solve_rde(RDEProblem(f, lift, y0, (0.0, 1.0), p=2.2), 1.0 / 16) for f in (lane, jets)]
+        assert sols[0].flow.meta["cell_update"]["method"] == "linear_propagator"
+        assert sols[1].flow.meta["cell_update"]["method"] == "taylor_jets"
+        assert _close(sols[0].states, sols[1].states)
+        off_node = [sol.flow.map(0.1234, 0.8765, y0) for sol in sols]
+        assert _close(*off_node)
+        runs = [
+            sol.flow.propagate(0.0, 1.0, y0, with_jacobian=True, renorm_interval=0.3)
+            for sol in sols
+        ]
+        assert _close(runs[0][0], runs[1][0]) and _close(runs[0][1], runs[1][1])
+        assert abs(runs[0][2] - runs[1][2]) <= 1e-12 * abs(runs[1][2])
+        # the lane computes the state identically with or without the Jacobian
+        y, _, _ = sols[0].flow.propagate(0.0, 1.0, y0, with_jacobian=True)
+        assert np.array_equal(y, sols[0].flow.map(0.0, 1.0, y0))
+
+    lift = _non_geometric_lift()
+    control = SolverControl(gauge_threshold=10.0)
+    drivers = [RoughDriver(f, lift, p=2.2, check_geometric=False) for f in (lane, jets)]
+    dflows = [solve_driver_flow(d, (0.0, 1.0), 1.0 / 8, control) for d in drivers]
+    runs = [f.propagate(0.0, 1.0, y0, with_jacobian=True) for f in dflows]
+    assert _close(runs[0][0], runs[1][0]) and _close(runs[0][1], runs[1][1])
+
+    path = _smooth_path_1d(n=129, amp=0.3, drift=0.1)
+    drift = DriftSpec(LinearField([[-0.5]]))
+    maps = []
+    for f in (_scalar_family(), _jets_reference([np.array([[1.0]])])):
+        problem = RDEProblem(f, signature_lift(path, 2), np.array([1.0]), (0.0, 1.0))
+        maps.append(drift_transform_solve(problem, drift, 2**-5).map(0.1, 0.9, np.array([0.8])))
+    assert _close(*maps)
+
+
+def test_cell_matrices_blowup_matches_the_jets_kernel():
+    lift = signature_lift(_line_path(n=129), 2)
+    times = []
+    for sigma in (_scalar_family([[40.0]]), _jets_reference([np.array([[40.0]])])):
+        problem = RDEProblem(sigma, lift, np.array([2.0]), (0.0, 1.0))
+        with pytest.raises(DivergenceError) as info:
+            solve_rde(problem, 2**-7)
+        times.append(info.value.details["time"])
+    assert times[0] == times[1] and 0.0 < times[0] < 1.0
 
 
 def test_driver_flow_regime_gate():
