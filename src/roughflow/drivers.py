@@ -30,6 +30,7 @@ same estimator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -45,6 +46,18 @@ _FD_HESS_STEP = 1e-3
 
 
 # ------------------------------------------------------------- vector fields
+
+
+def central_difference(fn, x: np.ndarray, step) -> np.ndarray:
+    """(fn(x + h_i e_i) - fn(x - h_i e_i)) / (2 h_i) for each coordinate i of x's last
+    axis, stacked on a new last axis; step is one h for all coordinates or one per coordinate."""
+    m = x.shape[-1]
+    cols = []
+    for i, h in enumerate(np.broadcast_to(step, (m,))):
+        e = np.zeros(m)
+        e[i] = h
+        cols.append((fn(x + e) - fn(x - e)) / (2 * h))
+    return np.stack(cols, axis=-1)
 
 
 class VectorField:
@@ -67,24 +80,10 @@ class VectorField:
         return self.value(np.asarray(x, dtype=float))
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        cols = []
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = _FD_JAC_STEP
-            cols.append((self.value(x + e) - self.value(x - e)) / (2 * _FD_JAC_STEP))
-        return np.stack(cols, axis=-1)
+        return central_difference(self.value, np.asarray(x, dtype=float), _FD_JAC_STEP)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        cols = []
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = _FD_HESS_STEP
-            cols.append(
-                (self.jacobian(x + e) - self.jacobian(x - e)) / (2 * _FD_HESS_STEP)
-            )
-        return np.stack(cols, axis=-1)
+        return central_difference(self.jacobian, np.asarray(x, dtype=float), _FD_HESS_STEP)
 
 
 class ConstantField(VectorField):
@@ -747,26 +746,6 @@ def driver_additivity_residual(driver, s: float, u: float, t: float, points) -> 
     return float(np.max(np.abs(gap)))
 
 
-def _fd_grad(fn, x, step=1e-3):
-    m = x.shape[-1]
-    cols = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = step
-        cols.append((fn(x + e) - fn(x - e)) / (2 * step))
-    return np.stack(cols, axis=-1)
-
-
-def _fd_hess(fn, x, step=1e-3):
-    m = x.shape[-1]
-    cols = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = step
-        cols.append((_fd_grad(fn, x + e, step) - _fd_grad(fn, x - e, step)) / (2 * step))
-    return np.stack(cols, axis=-1)
-
-
 def driver_leibniz_residual(driver, s: float, t: float, points) -> float:
     """First-order Leibniz defect of VV - (1/2) V V on products of scalars.
 
@@ -792,11 +771,10 @@ def driver_leibniz_residual(driver, s: float, t: float, points) -> float:
     dv = driver.DV(s, t, x)
 
     def op(fn):
-        vv = driver.second_order_action(
-            s, t, lambda z: _fd_grad(fn, z), lambda z: _fd_hess(fn, z), x
-        )
-        grad = _fd_grad(fn, x)
-        hess = _fd_hess(fn, x)
+        grad_fn = functools.partial(central_difference, fn, step=1e-3)
+        hess_fn = functools.partial(central_difference, grad_fn, step=1e-3)
+        vv = driver.second_order_action(s, t, grad_fn, hess_fn, x)
+        grad, hess = grad_fn(x), hess_fn(x)
         half = 0.5 * (
             np.einsum("...i,...ij,...j->...", v, hess, v)
             + np.einsum("...a,...a->...", grad, np.einsum("...ai,...i->...a", dv, v))

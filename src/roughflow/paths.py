@@ -37,7 +37,6 @@ from .tensor_algebra import (
     batch_segment_exponential,
 )
 
-_FLOAT_FMT = "%.17g"
 _MAX_DP_NODES = 4096
 _BLOCK_FLOATS = 1 << 15  # floats per block of an all-pairs sweep (256 KiB): bounds its memory, stays in cache
 _NODE_TOL = 1e-9  # a time within _NODE_TOL * max(spacing, 1) of a grid node is that node
@@ -59,6 +58,13 @@ __all__ = [
     "chen_residual_max",
     "geometricity_residual_max",
 ]
+
+
+def write_csv(fileobj, prefix: str, times, rows) -> None:
+    """Header t, <prefix>1, ..., then one line per time; floats with 17 significant digits."""
+    fileobj.write(",".join(["t"] + [f"{prefix}{i + 1}" for i in range(rows.shape[1])]) + "\n")
+    for t, row in zip(times, rows):
+        fileobj.write(",".join(["%.17g" % v for v in (t, *row)]) + "\n")
 
 
 def _as_times(times) -> np.ndarray:
@@ -151,11 +157,7 @@ class PiecewiseLinearPath:
 
     def to_csv(self, fileobj) -> None:
         """One row per node: t, x_1, ..., x_d with fixed 17-significant-digit floats."""
-        cols = ["t"] + [f"x{i + 1}" for i in range(self.dim)]
-        fileobj.write(",".join(cols) + "\n")
-        for t, row in zip(self.times, self.values):
-            cells = [_FLOAT_FMT % t] + [_FLOAT_FMT % v for v in row]
-            fileobj.write(",".join(cells) + "\n")
+        write_csv(fileobj, "x", self.times, self.values)
 
     @classmethod
     def from_csv(cls, fileobj) -> "PiecewiseLinearPath":
@@ -596,25 +598,16 @@ def chen_residual_max(lift: SampledRoughPath, max_nodes: int = 64) -> float:
     n = lift.times.size
     if n > max_nodes:
         raise ArgumentError("too many nodes for the all-triples sweep", nodes=n, limit=max_nodes)
-    pair_id = {}
-    pairs_i, pairs_j = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_id[(i, j)] = len(pairs_i)
-            pairs_i.append(i)
-            pairs_j.append(j)
-    incs = batch_increments(lift.levels, np.array(pairs_i), np.array(pairs_j), lift.dim)
-    first, second, whole = [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                first.append(pair_id[(i, j)])
-                second.append(pair_id[(j, k)])
-                whole.append(pair_id[(i, k)])
-    if not first:
+    rows, cols = np.triu_indices(n, 1)
+    pair_id = np.zeros((n, n), dtype=int)
+    pair_id[rows, cols] = np.arange(rows.size)
+    incs = batch_increments(lift.levels, rows, cols, lift.dim)
+    r = np.arange(n)
+    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))  # i < j < k
+    if not i.size:
         return 0.0
-    lhs = batch_mul(batch_gather(incs, np.array(first)), batch_gather(incs, np.array(second)), lift.dim)
-    rhs = batch_gather(incs, np.array(whole))
+    lhs = batch_mul(batch_gather(incs, pair_id[i, j]), batch_gather(incs, pair_id[j, k]), lift.dim)
+    rhs = batch_gather(incs, pair_id[i, k])
     return float(np.max(batch_distance(lhs, rhs)))
 
 

@@ -27,6 +27,7 @@ of area).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -39,12 +40,12 @@ from .drivers import (
     RoughDriver,
     VectorField,
     VectorFieldFamily,
+    central_difference,
 )
 from .errors import ArgumentError, ConfigError, DivergenceError, NumericalError
-from .paths import SampledRoughPath, resample_lift
+from .paths import SampledRoughPath, resample_lift, write_csv
 from .tensor_algebra import batch_increments
 
-_FLOAT_FMT = "%.17g"
 # central-difference step of flows without a variational scheme, relative to 1 + |y_k|
 _FD_STEP = 1e-6
 
@@ -67,7 +68,6 @@ class SolverControl:
     drift_delta: float = 0.1
     drift_substeps: int = 16
     condition_limit: float = 1e12
-    renorm_interval: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,8 @@ def _run(table, s, t, y, need_jac, out=None):
 class FlowMap:
     """Two-parameter flow psi(s, t) realized by re-running a per-cell scheme.
 
-    map(s, t, y) advances a single state; propagate additionally carries
+    step(s, t, y, need_jac) returns psi(s, t)(y) and, when need_jac, its Jacobian
+    (else None).  map(s, t, y) advances a single state; propagate additionally carries
     the flow Jacobian with periodic QR renormalization, factoring out the
     spectral norm as an exactly-accumulated scalar so that long-horizon
     products never overflow.  psi(s, s) is the identity, and composition
@@ -353,11 +354,10 @@ class FlowMap:
     Jacobian is the product of the M_k; the state is the same with or without it.
     """
 
-    def __init__(self, grid, advance, state_dim, advance_jac=None, meta=None):
+    def __init__(self, grid, step, state_dim, meta=None):
         self.grid = np.asarray(grid, dtype=float)
         self.state_dim = int(state_dim)
-        self._advance = advance
-        self._advance_jac = advance_jac
+        self._step = step
         self.meta = dict(meta or {})
 
     @property
@@ -380,19 +380,7 @@ class FlowMap:
         y = self._state(y)
         if t == s:
             return y.copy()
-        return self._advance(s, t, y)
-
-    def _segment_jacobian(self, a, b, y):
-        if self._advance_jac is not None:
-            return self._advance_jac(a, b, y)
-        # flows without a variational scheme: differentiate the map itself
-        m = y.size
-        cols = []
-        for k in range(m):
-            e = np.zeros(m)
-            e[k] = _FD_STEP * (1.0 + abs(y[k]))
-            cols.append((self._advance(a, b, y + e) - self._advance(a, b, y - e)) / (2 * e[k]))
-        return self._advance(a, b, y), np.stack(cols, axis=1)
+        return self._step(s, t, y, False)[0]
 
     def propagate(self, s: float, t: float, y, with_jacobian: bool = False,
                   renorm_interval: Optional[float] = None):
@@ -415,7 +403,7 @@ class FlowMap:
         for a, b in zip(cuts[:-1], cuts[1:]):
             if b <= a:
                 continue
-            y, seg = self._segment_jacobian(float(a), float(b), y)
+            y, seg = self._step(float(a), float(b), y, True)
             jac = seg @ jac
             if renorm_interval is not None:
                 q, r = np.linalg.qr(jac)
@@ -435,11 +423,7 @@ class RDESolution:
     flow: FlowMap
 
     def to_csv(self, fileobj) -> None:
-        cols = ["t"] + [f"y{i + 1}" for i in range(self.states.shape[1])]
-        fileobj.write(",".join(cols) + "\n")
-        for t, row in zip(self.times, self.states):
-            cells = [_FLOAT_FMT % t] + [_FLOAT_FMT % v for v in row]
-            fileobj.write(",".join(cells) + "\n")
+        write_csv(fileobj, "y", self.times, self.states)
 
     def to_json_dict(self) -> dict:
         return {"times": self.times.tolist(), "states": self.states.tolist()}
@@ -460,19 +444,6 @@ def _solve_grid(interval, step) -> np.ndarray:
     return grid
 
 
-def _kernel_flow(grid, table, dim, meta) -> FlowMap:
-    """FlowMap whose maps and Jacobians re-run the cell kernel over the table."""
-
-    def advance(s, t, y):
-        return _run(table, s, t, y, False)[0]
-
-    def advance_jac(s, t, y):
-        return _run(table, s, t, y, True)
-
-    meta["cell_update"] = table.report
-    return FlowMap(grid, advance, dim, advance_jac, meta)
-
-
 def solve_rde(problem: RDEProblem, step: float, control: SolverControl = SolverControl()) -> RDESolution:
     """Integrate dz = sigma(z) dX with the second-order increment scheme.
 
@@ -488,7 +459,8 @@ def solve_rde(problem: RDEProblem, step: float, control: SolverControl = SolverC
         raise ArgumentError("scheme needs p < 3 (one level of area)", p=p)
     grid = _solve_grid(problem.interval, step)
     table = _CellTable(problem.lift, grid, problem.sigma, control)
-    meta = {"kind": "rde", "step": float(step), "problem": problem, "control": control}
+    meta = {"kind": "rde", "step": float(step), "problem": problem, "control": control,
+            "cell_update": table.report}
     if problem.noise is not None:
         meta["noise"] = problem.noise
 
@@ -499,7 +471,7 @@ def solve_rde(problem: RDEProblem, step: float, control: SolverControl = SolverC
             return solve_rde(shifted, step, control).flow
 
         meta["rebuild"] = rebuild
-    flow = _kernel_flow(grid, table, problem.sigma.dim, meta)
+    flow = FlowMap(grid, functools.partial(_run, table), problem.sigma.dim, meta)
     states = np.empty((grid.size, problem.sigma.dim))
     _run(table, grid[0], grid[-1], problem.y0, False, out=states)
     return RDESolution(grid, states, flow)
@@ -528,7 +500,8 @@ def solve_driver_flow(
         )
     grid = _solve_grid(interval, step)
     table = _CellTable(driver.lift, grid, driver.sigma, control, _driver_level2)
-    meta = {"kind": "driver_flow", "step": float(step), "control": control}
+    meta = {"kind": "driver_flow", "step": float(step), "control": control,
+            "cell_update": table.report}
     if noise is not None:
         meta["noise"] = noise
 
@@ -540,7 +513,7 @@ def solve_driver_flow(
             return solve_driver_flow(moved, new_interval, step, control, new_noise)
 
         meta["rebuild"] = rebuild
-    return _kernel_flow(grid, table, driver.sigma.dim, meta)
+    return FlowMap(grid, functools.partial(_run, table), driver.sigma.dim, meta)
 
 
 # ------------------------------------------------------------------- drift
@@ -746,6 +719,12 @@ def drift_transform_solve(
             y = advance_sub(a, b, y)
         return y
 
+    def drift_step(s, t, y, need_jac):
+        jac = None
+        if need_jac:  # no variational scheme here: differentiate the composed map itself
+            jac = central_difference(lambda z: advance(s, t, z), y, _FD_STEP * (1.0 + np.abs(y)))
+        return advance(s, t, y), jac
+
     meta = {
         "kind": "drift_flow",
         "step": float(step),
@@ -765,7 +744,7 @@ def drift_transform_solve(
             return drift_transform_solve(shifted, drift, step, control, force=force)
 
         meta["rebuild"] = rebuild
-    return FlowMap(bounds, advance, m, None, meta)
+    return FlowMap(bounds, drift_step, m, meta)
 
 
 # -------------------------------------------------------- cocycle residual

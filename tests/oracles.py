@@ -163,6 +163,114 @@ def fd_jacobian(f, x, eps=1e-6):
     return np.stack(cols, axis=1)
 
 
+def field_jacobian_loop(field, x, step=1e-5):
+    """A field's central-difference Jacobian, one coordinate at a time (columns last)."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i in range(field.dim):
+        e = np.zeros(field.dim)
+        e[i] = step
+        cols.append((field.value(x + e) - field.value(x - e)) / (2 * step))
+    return np.stack(cols, axis=-1)
+
+
+def field_hessian_loop(field, x, step=1e-3):
+    """Central differences of field_jacobian_loop, one coordinate at a time."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i in range(field.dim):
+        e = np.zeros(field.dim)
+        e[i] = step
+        cols.append((field_jacobian_loop(field, x + e) - field_jacobian_loop(field, x - e)) / (2 * step))
+    return np.stack(cols, axis=-1)
+
+
+def fd_grad_loop(fn, x, step=1e-3):
+    """Central-difference gradient of a scalar function on points (..., m), columns last."""
+    m = x.shape[-1]
+    cols = []
+    for i in range(m):
+        e = np.zeros(m)
+        e[i] = step
+        cols.append((fn(x + e) - fn(x - e)) / (2 * step))
+    return np.stack(cols, axis=-1)
+
+
+def fd_hess_loop(fn, x, step=1e-3):
+    """Central differences of fd_grad_loop, one coordinate at a time."""
+    m = x.shape[-1]
+    cols = []
+    for i in range(m):
+        e = np.zeros(m)
+        e[i] = step
+        cols.append((fd_grad_loop(fn, x + e, step) - fd_grad_loop(fn, x - e, step)) / (2 * step))
+    return np.stack(cols, axis=-1)
+
+
+def leibniz_residual_loops(driver, s, t, points):
+    """driver_leibniz_residual with the test functions differentiated by fd_grad_loop/fd_hess_loop."""
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    m = driver.state_dim
+    a = np.linspace(0.3, 0.7, m)
+    b = np.linspace(-0.5, 0.4, m) + 0.15
+
+    def f(z):
+        return np.sin(z @ a)
+
+    def g(z):
+        return np.cos(z @ b) + 0.2 * z[..., 0]
+
+    v = driver.V(s, t, x)
+    dv = driver.DV(s, t, x)
+
+    def op(fn):
+        vv = driver.second_order_action(
+            s, t, lambda z: fd_grad_loop(fn, z), lambda z: fd_hess_loop(fn, z), x
+        )
+        grad = fd_grad_loop(fn, x)
+        hess = fd_hess_loop(fn, x)
+        half = 0.5 * (
+            np.einsum("...i,...ij,...j->...", v, hess, v)
+            + np.einsum("...a,...a->...", grad, np.einsum("...ai,...i->...a", dv, v))
+        )
+        return vv - half
+
+    gap = op(lambda z: f(z) * g(z)) - f(x) * op(g) - g(x) * op(f)
+    return float(np.max(np.abs(gap)))
+
+
+def propagate_by_map_differences(advance, s, t, y, renorm_interval=None, rel_step=1e-6):
+    """(y, J, log_scale) of a flow from central differences of advance(a, b, y) per segment.
+
+    Coordinate k steps by rel_step * (1 + |y_k|); with renorm_interval the product is
+    QR-renormalised after each segment and its spectral-norm scale summed in log space.
+    """
+    y = np.asarray(y, dtype=float)
+    if renorm_interval is None:
+        cuts = np.array([s, t])
+    else:
+        n = max(1, int(np.ceil((t - s) / renorm_interval - 1e-12)))
+        cuts = np.linspace(s, t, n + 1)
+    jac = np.eye(y.size)
+    log_scale = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        a, b = float(a), float(b)
+        cols = []
+        for k in range(y.size):
+            e = np.zeros(y.size)
+            e[k] = rel_step * (1.0 + abs(y[k]))
+            cols.append((advance(a, b, y + e) - advance(a, b, y - e)) / (2 * e[k]))
+        y = advance(a, b, y)
+        jac = np.stack(cols, axis=1) @ jac
+        if renorm_interval is not None:
+            q, r = np.linalg.qr(jac)
+            scale = float(np.linalg.norm(r, 2))
+            if scale > 0.0:
+                jac = q @ (r / scale)
+                log_scale += float(np.log(scale))
+    return y, jac, log_scale
+
+
 def rho_var_2d_exhaustive(R, rho):
     """2-D rho-variation of a covariance sampled on a grid, by full enumeration.
 

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import driver_loops, fd_jacobian, second_order_action_loop
+from oracles import (
+    driver_loops,
+    fd_jacobian,
+    field_hessian_loop,
+    field_jacobian_loop,
+    leibniz_residual_loops,
+    second_order_action_loop,
+)
 from roughflow.cocycle import NoiseRealization, noise_from_path
 from roughflow.drivers import (
     BoxSpec,
@@ -98,6 +105,9 @@ def test_fd_fallback_matches_analytic_derivatives():
     for x in rng.uniform(-2, 2, size=(4, 2)):
         assert np.max(np.abs(fallback.jacobian(x) - exact.jacobian(x))) < 1e-8
         assert np.max(np.abs(fallback.hessian(x) - exact.hessian(x))) < 1e-4
+    batch = rng.uniform(-2, 2, size=(3, 4, 2))
+    assert np.array_equal(fallback.jacobian(batch), field_jacobian_loop(fallback, batch))
+    assert np.array_equal(fallback.hessian(batch), field_hessian_loop(fallback, batch))
 
 
 def test_polynomial_field_derivatives():
@@ -484,7 +494,9 @@ def test_vector_part_satisfies_leibniz_rule():
     ]
     pts = np.random.default_rng(21).uniform(-1.5, 1.5, size=(6, 2))
     for driver in drivers:
-        assert driver_leibniz_residual(driver, 0.0, 0.625, pts) < 1e-6
+        got = driver_leibniz_residual(driver, 0.0, 0.625, pts)
+        assert got < 1e-6
+        assert got == leibniz_residual_loops(driver, 0.0, 0.625, pts)
 
 
 # ------------------------------------------------------------ driver cocycle

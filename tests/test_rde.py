@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import propagate_by_map_differences
 from roughflow import (
     ArgumentError,
     CallableField,
@@ -564,6 +565,16 @@ def test_drift_flow_records_its_jacobian_method():
     e = info["relative_step"] * (1.0 + abs(y[0]))
     central = (flow.map(0.0, 1.0, y + e) - flow.map(0.0, 1.0, y - e)) / (2 * e)
     assert np.array_equal(jac, central[:, None])
+    # two coordinates, so each column has its own step, renormalised every 0.25
+    lift = signature_lift(_circle_path(n=65), 2)
+    problem = RDEProblem(shear_pair_fields(), lift, np.array([0.2, -0.4]), (0.0, 1.0))
+    flow = drift_transform_solve(
+        problem, DriftSpec(LinearField(-np.eye(2))), 2**-4, SolverControl(drift_substeps=4)
+    )
+    y = np.array([0.7, -1.9])
+    got = flow.propagate(0.0, 0.5, y, with_jacobian=True, renorm_interval=0.25)
+    want = propagate_by_map_differences(flow.map, 0.0, 0.5, y, 0.25)
+    assert got[2] != 0.0 and all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_drift_gate_and_force_override():
