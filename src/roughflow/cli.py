@@ -39,10 +39,8 @@ from .drivers import (
 )
 from .errors import ArgumentError, ConfigError, RoughflowError
 from .gaussian import make_kernel
-from .paths import PiecewiseLinearPath, geometricity_residual_max, signature_lift
+from .paths import FLOAT_FORMAT, PiecewiseLinearPath, geometricity_residual_max, signature_lift
 from .rde import RDEProblem, solve_rde
-
-_FMT = "%.17g"
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -503,7 +501,7 @@ def _write_tsv(path, plot):
         for row in rows:
             f.write(
                 "\t".join(
-                    str(v) if isinstance(v, (int, np.integer)) else _FMT % v
+                    str(v) if isinstance(v, (int, np.integer)) else FLOAT_FORMAT % v
                     for v in row
                 )
                 + "\n"

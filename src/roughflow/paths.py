@@ -40,6 +40,7 @@ from .tensor_algebra import (
 _MAX_DP_NODES = 4096
 _BLOCK_FLOATS = 1 << 15  # floats per block of an all-pairs sweep (256 KiB): bounds its memory, stays in cache
 _NODE_TOL = 1e-9  # a time within _NODE_TOL * max(spacing, 1) of a grid node is that node
+FLOAT_FORMAT = "%.17g"  # run-record floats: 17 significant digits round-trip a double
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -61,10 +62,10 @@ __all__ = [
 
 
 def write_csv(fileobj, prefix: str, times, rows) -> None:
-    """Header t, <prefix>1, ..., then one line per time; floats with 17 significant digits."""
+    """Header t, <prefix>1, ..., then one line per time; floats in FLOAT_FORMAT."""
     fileobj.write(",".join(["t"] + [f"{prefix}{i + 1}" for i in range(rows.shape[1])]) + "\n")
     for t, row in zip(times, rows):
-        fileobj.write(",".join(["%.17g" % v for v in (t, *row)]) + "\n")
+        fileobj.write(",".join([FLOAT_FORMAT % v for v in (t, *row)]) + "\n")
 
 
 def _as_times(times) -> np.ndarray:

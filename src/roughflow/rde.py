@@ -10,8 +10,8 @@ plain matmuls; driver flows run the same kernel on the level-2 data
 (1/2) X1 (x) X1 + Anti(X2), which turns it into x + V + W + (1/2) DV V.
 For an all-linear family sigma_i(y) = A_i y the step is exactly y <- M y,
 M = I + sum_i X1_i A_i + sum_{ij} X2_{ij} A_j A_i for any level-2 data, and
-M is also its Jacobian: every whole cell's M is built with the cell table,
-and whole cells below the gauge threshold step by one matmul each.
+M is also its Jacobian.  The cell table splits cells above the gauge threshold
+into rows once, and each row is one step (one matmul by its M when all-linear).
 Jacobians propagate the derivative of the same scheme, never finite
 differences of the state, so adaptive substepping cannot desynchronize
 them.  Flows with drift are solved by transformation: the driftless flow
@@ -54,11 +54,12 @@ _FD_STEP = 1e-6
 class SolverControl:
     """Numerical policy knobs shared by the solvers.
 
-    gauge_threshold triggers adaptive cell splitting; blowup_limit with
-    retry_halvings separates numerical overflow from genuine growth;
-    drift_delta bounds the p-variation-plus-length budget of each drift
-    sub-interval; drift_substeps is the fixed fourth-order substep count
-    per sub-interval; condition_limit rejects singular flow Jacobians.
+    gauge_threshold caps the lift gauge max(|X1|, |X2|) of a step: the cell
+    table halves larger cells, at most max_split_depth times each.  A step whose
+    state leaves blowup_limit is halved, at most retry_halvings times, before
+    DivergenceError.  drift_delta bounds the p-variation-plus-length budget of
+    each drift sub-interval; drift_substeps is the fixed fourth-order substep
+    count per sub-interval; condition_limit rejects singular flow Jacobians.
     """
 
     gauge_threshold: float = 0.5
@@ -68,6 +69,16 @@ class SolverControl:
     drift_delta: float = 0.1
     drift_substeps: int = 16
     condition_limit: float = 1e12
+
+    def __post_init__(self):
+        for name in ("gauge_threshold", "blowup_limit", "drift_delta", "condition_limit"):
+            value = getattr(self, name)
+            if not value > 0.0:  # NaN fails too
+                raise ArgumentError(f"{name} must be positive", **{name: value})
+        for name, least in (("max_split_depth", 0), ("retry_halvings", 0), ("drift_substeps", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ArgumentError(f"{name} must be an integer >= {least}", **{name: value})
 
 
 @dataclass(frozen=True)
@@ -151,45 +162,53 @@ class DriftSpec:
 
 
 class _CellTable:
-    """Precomputed per-cell increments of a lift on a solve grid.
+    """The adaptive grid of a flow: lift increments per row of a refined solve grid.
 
-    Whole cells are consecutive rows of the resampled level arrays; arbitrary
-    interior times are completed geodesically on demand (exact when the lift's
-    nodes coincide with the underlying path's breakpoints).  level2 maps
-    (X1, X2) to the kernel's level-2 data on every cell; the gauge `flat`
-    measures the lift's X2.  `update` is sigma's cell step, `mats` each whole cell's step
-    matrix if sigma is all-linear, `hard` the whole cells that _run steps by
-    _advance_segment (all of them without `mats`), followed by the cell count.
+    Rows start as the grid's whole cells; each round halves every row whose lift
+    gauge max(|X1|, |X2|) exceeds control.gauge_threshold (at most
+    control.max_split_depth times per cell), completing the new times
+    geodesically on the grid's lift.  `lift` and `nodes` are the refined lift,
+    `grid_rows` its grid nodes (a slice when no cell splits).  level2 maps (X1, X2)
+    to the kernel's level-2 data: `one`, `two` per row, `cells` per whole cell.
+    `update` is sigma's cell step, `mats` each row's step matrix if all-linear.
     """
 
     def __init__(self, lift: SampledRoughPath, nodes: np.ndarray, sigma, control, level2=None):
-        self.lift = resample_lift(lift, nodes)
-        self.nodes = self.lift.times
-        d = self.lift.dim
-        incs = batch_increments(self.lift.levels, slice(None, -1), slice(1, None), d)
         self._level2 = level2 or (lambda one, two: two)
-        self.one = incs[0]
-        self.two = self._level2(self.one, incs[1].reshape(-1, d, d))
-        self.flat = np.maximum(
-            np.linalg.norm(incs[0], axis=1), np.linalg.norm(incs[1], axis=1)
-        )
         self.control = control
         self.update, cell_matrices = _cell_kernel(sigma)
-        self.mats = None if cell_matrices is None else cell_matrices(self.one, self.two)
-        split = self.flat > control.gauge_threshold
-        self.hard = np.append(np.flatnonzero(split | (self.mats is None)), split.size)
+        grid = self.lift = resample_lift(lift, nodes)
+        one, two, flat = self._increments(grid.levels)
+        self.cells = one, two
         self.report = {  # meta["cell_update"]
-            "method": "taylor_jets" if self.mats is None else "linear_propagator",
-            "split_cells": int(np.count_nonzero(split)),
+            "method": "taylor_jets" if cell_matrices is None else "linear_propagator",
+            "split_cells": int(np.count_nonzero(flat > control.gauge_threshold)),
         }
+        depth = np.zeros(flat.size, dtype=int)
+        while np.any(split := (flat > control.gauge_threshold) & (depth < control.max_split_depth)):
+            t, k = self.lift.times, np.flatnonzero(split)
+            mids = 0.5 * (t[k] + t[k + 1])
+            levels = [np.insert(lvl, k + 1, new, axis=0)
+                      for lvl, new in zip(self.lift.levels, grid.levels_at(mids))]
+            self.lift = SampledRoughPath.from_levels(np.insert(t, k + 1, mids), levels, grid.p)
+            depth = np.repeat(depth + split, 1 + split)
+            one, two, flat = self._increments(self.lift.levels)
+        self.nodes = self.lift.times
+        self.grid_rows = slice(None) if self.lift is grid else np.searchsorted(self.nodes, nodes)
+        self.one, self.two = one, two
+        self.mats = None if cell_matrices is None else cell_matrices(one, two)
+
+    def _increments(self, levels):
+        """(X1, level-2 data, gauge max(|X1|, |X2|)) between consecutive rows of levels."""
+        d = self.lift.dim
+        one, two = batch_increments(levels, slice(None, -1), slice(1, None), d)[:2]
+        flat = np.maximum(np.linalg.norm(one, axis=1), np.linalg.norm(two, axis=1))
+        return one, self._level2(one, two.reshape(-1, d, d)), flat
 
     def increment_between(self, a: float, b: float):
-        d = self.lift.dim
-        inc = batch_increments(self.lift.levels_at([a, b]), [0], [1], d)
-        one = inc[0][0]
-        two = inc[1][0].reshape(d, d)
-        flat = max(float(np.linalg.norm(one)), float(np.linalg.norm(two)))
-        return one, self._level2(one, two), flat
+        """(X1, level-2 data) from a to b, completed geodesically inside one row."""
+        one, two, _ = self._increments(self.lift.levels_at([a, b]))
+        return one[0], two[0]
 
 
 # -------------------------------------------------------------- cell kernel
@@ -264,31 +283,24 @@ def _blown_up(y, limit):
     return ~np.isfinite(peak) | (peak > limit)
 
 
-def _advance_segment(table, a, b, y, jac, depth, retries, k=None):
-    """One step over whole cell k, or over [a, b], with gauge splitting and blow-up retries."""
-    control = table.control
-    if k is None:
-        one, two, flat = table.increment_between(a, b)
-    else:
-        one, two, flat = table.one[k], table.two[k], table.flat[k]
-    if not (flat > control.gauge_threshold and depth < control.max_split_depth):
-        y2, mat = table.update(y, one, two, jac is not None)
-        if not _blown_up(y2, control.blowup_limit):
-            return y2, (mat @ jac if jac is not None else None)
-        if retries <= 0 or depth >= control.max_split_depth:
-            raise DivergenceError(
-                "state exceeded the blow-up guard", time=float(b), limit=control.blowup_limit
-            )
-        retries -= 1
-    # split at the midpoint: the gauge is too large, or the state blew up
+def _advance_segment(table, a, b, y, jac, retries, k=None):
+    """One step over row k, or over [a, b] inside one row, halved while it blows up."""
+    one, two = (table.one[k], table.two[k]) if k is not None else table.increment_between(a, b)
+    y2, mat = table.update(y, one, two, jac is not None)
+    if not _blown_up(y2, table.control.blowup_limit):
+        return y2, (mat @ jac if jac is not None else None)
+    if retries <= 0:
+        raise DivergenceError(
+            "state exceeded the blow-up guard", time=float(b), limit=table.control.blowup_limit
+        )
     mid = 0.5 * (a + b)
-    y, jac = _advance_segment(table, a, mid, y, jac, depth + 1, retries)
-    return _advance_segment(table, mid, b, y, jac, depth + 1, retries)
+    y, jac = _advance_segment(table, a, mid, y, jac, retries - 1)
+    return _advance_segment(table, mid, b, y, jac, retries - 1)
 
 
 def _lane(table, k, stop, y, jac, rows):
-    """Whole cells k..stop-1 by y <- M_c y, states into rows[1:] (rows[0] holds y); returns
-    (end, y, jac) with y the state at node end, and end < stop if cell end blew up."""
+    """Rows k..stop-1 by y <- M_c y, states into rows[1:] (rows[0] holds y); returns
+    (end, y, jac) with y the state at node end, and end < stop if row end blew up."""
     with np.errstate(over="ignore", invalid="ignore"):  # states past a blow-up are dropped
         for i, mat in enumerate(table.mats[k:stop], 1):
             y = rows[i] = mat @ y
@@ -303,9 +315,9 @@ def _lane(table, k, stop, y, jac, rows):
 def _run(table, s, t, y, need_jac, out=None):
     """Advance the scheme from s to t (s <= t within the table span).
 
-    Whole cells at or below the gauge threshold run by _lane when the table
-    has cell matrices; all other cells, partial edges and cells that blew up
-    in the lane run by _advance_segment.  out receives the node states.
+    Rows run by _lane when the table has cell matrices, else one by one by
+    _advance_segment, which also takes partial edges and rows that blew up in
+    the lane.  out receives the states at the table's nodes.
     """
     y = np.array(y, dtype=float)
     jac = np.eye(y.size) if need_jac else None
@@ -313,27 +325,26 @@ def _run(table, s, t, y, need_jac, out=None):
         return y, jac
     nodes = table.nodes
     i, j = table.lift.match_nodes((s, t)).tolist()
-    # whole cells run from node first to node last; off-node s or t add partial edges
+    # rows run from node first to node last; off-node s or t add partial edges
     first = i if i >= 0 else int(np.searchsorted(nodes, s, side="right"))
     last = j if j >= 0 else int(np.searchsorted(nodes, t, side="left")) - 1
     retries = table.control.retry_halvings
     if first > last:
-        return _advance_segment(table, s, t, y, jac, 0, retries)
+        return _advance_segment(table, s, t, y, jac, retries)
     if i < 0:
-        y, jac = _advance_segment(table, s, nodes[first], y, jac, 0, retries)
+        y, jac = _advance_segment(table, s, nodes[first], y, jac, retries)
     rows = np.empty((last - first + 1, y.size)) if out is None else out
     rows[0] = y
     k = first
     while k < last:
-        h = min(int(table.hard[np.searchsorted(table.hard, k)]), last)
-        if k < h:
-            k, y, jac = _lane(table, k, h, y, jac, rows[k - first :])
-        if k < last:  # a split or jets cell, or a lane cell redone from its start state
-            y, jac = _advance_segment(table, nodes[k], nodes[k + 1], y, jac, 0, retries, k)
+        if table.mats is not None:
+            k, y, jac = _lane(table, k, last, y, jac, rows[k - first :])
+        if k < last:  # a jets row, or a lane row redone from its start state
+            y, jac = _advance_segment(table, nodes[k], nodes[k + 1], y, jac, retries, k)
             rows[k - first + 1] = y
             k += 1
     if j < 0:
-        y, jac = _advance_segment(table, nodes[last], t, y, jac, 0, retries)
+        y, jac = _advance_segment(table, nodes[last], t, y, jac, retries)
     return y, jac
 
 
@@ -347,11 +358,9 @@ class FlowMap:
     (else None).  map(s, t, y) advances a single state; propagate additionally carries
     the flow Jacobian with periodic QR renormalization, factoring out the
     spectral norm as an exactly-accumulated scalar so that long-horizon
-    products never overflow.  psi(s, s) is the identity, and composition
-    over grid nodes is exact because both sides run the identical cell
-    sequence.  For an all-linear family a whole cell below the gauge threshold
-    is y <- M_k y, M_k = I + sum_i X1_i A_i + sum_ij X2_ij A_j A_i, and the
-    Jacobian is the product of the M_k; the state is the same with or without it.
+    products never overflow.  psi(s, s) is the identity, and composition over
+    the cell table's nodes (grid nodes and the midpoints of split cells) is
+    exact because both sides run the identical row sequence.
     """
 
     def __init__(self, grid, step, state_dim, meta=None):
@@ -449,9 +458,9 @@ def solve_rde(problem: RDEProblem, step: float, control: SolverControl = SolverC
 
     Returns the trajectory on the solve grid together with the FlowMap; the
     flow re-runs the same scheme for arbitrary (s, t) inside the interval, and
-    the trajectory is its run from the start.  For an all-linear family
-    sigma_i(y) = A_i y, whole cells below the gauge threshold step by y <- M_k y,
-    M_k = I + sum_i X1_i A_i + sum_ij X2_ij A_j A_i built once per cell.
+    the trajectory is its run from the start, read at the grid nodes.  Cells
+    above the gauge threshold are split into table rows when the flow is built;
+    for an all-linear family sigma_i(y) = A_i y every row steps by its y <- M_k y.
     ``flow.meta["cell_update"]`` records the step used and the split cell count.
     """
     p = problem.regularity
@@ -472,9 +481,9 @@ def solve_rde(problem: RDEProblem, step: float, control: SolverControl = SolverC
 
         meta["rebuild"] = rebuild
     flow = FlowMap(grid, functools.partial(_run, table), problem.sigma.dim, meta)
-    states = np.empty((grid.size, problem.sigma.dim))
+    states = np.empty((table.nodes.size, problem.sigma.dim))
     _run(table, grid[0], grid[-1], problem.y0, False, out=states)
-    return RDESolution(grid, states, flow)
+    return RDESolution(grid, states[table.grid_rows], flow)
 
 
 def solve_driver_flow(
@@ -630,11 +639,11 @@ def drift_growth_check(
     )
 
 
-def _subdivide(table: _CellTable, grid: np.ndarray, p: float, delta: float) -> np.ndarray:
-    """Sub-interval boundaries with per-interval gauge^p-plus-length <= delta."""
+def _subdivide(one, two, grid: np.ndarray, p: float, delta: float) -> np.ndarray:
+    """Sub-interval boundaries with per-interval gauge^p-plus-length <= delta, from cell (X1, X2)."""
     gauge = np.maximum(
-        np.linalg.norm(table.one, axis=1),
-        np.sqrt(np.linalg.norm(table.two.reshape(len(table.two), -1), axis=1)),
+        np.linalg.norm(one, axis=1),
+        np.sqrt(np.linalg.norm(two.reshape(len(two), -1), axis=1)),
     )
     weights = gauge**p + np.diff(grid)
     bounds = [grid[0]]
@@ -683,7 +692,7 @@ def drift_transform_solve(
         )
     grid = _solve_grid(problem.interval, step)
     table = _CellTable(problem.lift, grid, problem.sigma, control)
-    bounds = _subdivide(table, grid, max(p, 1.0), control.drift_delta)
+    bounds = _subdivide(*table.cells, grid, max(p, 1.0), control.drift_delta)
 
     def aux_rhs(a, u, y):
         val, jac = _run(table, a, u, y, True)

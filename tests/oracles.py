@@ -15,6 +15,8 @@ import itertools
 import numpy as np
 
 from roughflow.drivers import BracketField
+from roughflow.errors import DivergenceError
+from roughflow.paths import resample_lift
 from roughflow.tensor_algebra import batch_increments
 
 
@@ -294,3 +296,52 @@ def rho_var_2d_exhaustive(R, rho):
             inc = block[1:, 1:] - block[:-1, 1:] - block[1:, :-1] + block[:-1, :-1]
             best = max(best, float(np.sum(np.abs(inc) ** rho)))
     return best ** (1.0 / rho)
+
+
+def gauge_split_flow(lift, grid, update, control, y, need_jac, level2=None):
+    """(states at the grid nodes, Jacobian or None, deepest split) of a per-call gauge recursion.
+
+    Every whole cell of the grid is one call of update(y, X1, level2(X1, X2), need_jac).  A
+    call whose gauge max(|X1|, |X2|) exceeds control.gauge_threshold, or whose state blows
+    up, is replaced by calls on the two halves of its interval, down to control.max_split_depth
+    halvings (blow-ups at most control.retry_halvings times); half intervals take their
+    increments from the lift resampled at the grid, completed there geodesically.
+    """
+    level2 = level2 or (lambda one, two: two)
+    d = lift.dim
+    ref = resample_lift(lift, grid)
+    deepest = 0
+
+    def increment(levels, i, j):
+        inc = batch_increments(levels, i, j, d)
+        one, two = inc[0], inc[1].reshape(-1, d, d)
+        flat = np.maximum(np.linalg.norm(inc[0], axis=1), np.linalg.norm(inc[1], axis=1))
+        return one, level2(one, two), flat
+
+    def advance(a, b, y, jac, depth, retries, cell=None):
+        nonlocal deepest
+        deepest = max(deepest, depth)
+        if cell is None:
+            one, two, flat = (v[0] for v in increment(ref.levels_at([a, b]), [0], [1]))
+        else:
+            one, two, flat = cell
+        if not (flat > control.gauge_threshold and depth < control.max_split_depth):
+            y2, mat = update(y, one, two, jac is not None)
+            peak = np.max(np.abs(y2))
+            if np.isfinite(peak) and peak <= control.blowup_limit:
+                return y2, (mat @ jac if jac is not None else None)
+            if retries <= 0 or depth >= control.max_split_depth:
+                raise DivergenceError("state exceeded the blow-up guard", time=float(b))
+            retries -= 1
+        mid = 0.5 * (a + b)
+        y, jac = advance(a, mid, y, jac, depth + 1, retries)
+        return advance(mid, b, y, jac, depth + 1, retries)
+
+    cells = increment(ref.levels, slice(None, -1), slice(1, None))
+    states = [np.asarray(y, dtype=float)]
+    jac = np.eye(states[0].size) if need_jac else None
+    for k in range(len(grid) - 1):
+        cell = tuple(v[k] for v in cells)
+        y, jac = advance(grid[k], grid[k + 1], states[-1], jac, 0, control.retry_halvings, cell)
+        states.append(y)
+    return np.array(states), jac, deepest

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import propagate_by_map_differences
+from oracles import gauge_split_flow, propagate_by_map_differences
 from roughflow import (
     ArgumentError,
     CallableField,
@@ -40,6 +40,7 @@ from roughflow import (
     top_lyapunov_estimate,
 )
 from roughflow.paths import SampledRoughPath
+from roughflow.rde import _CellTable, _cell_kernel, _driver_level2
 from roughflow.tensor_algebra import GroupElement
 
 
@@ -329,14 +330,15 @@ def _jets_reference(matrices):
     return VectorFieldFamily(fields)
 
 
-def _jumpy_lift(jumps=(3, 10)):
+def _jumpy_lift(jumps=(3, 10), scale=1.0):
     # small Brownian steps plus a unit jump inside each listed cell of a
-    # 16-cell grid; four path segments per cell give every cell an area
+    # 16-cell grid, the whole path times scale; four path segments per cell
+    # give every cell an area
     path = _brownian_path(5, 65, (0.0, 1.0), dim=2, scale=0.2)
     steps = np.diff(path.values, axis=0)
     for k in jumps:
         steps[4 * k + 1] += [1.0, -0.5]
-    values = np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+    values = scale * np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
     return signature_lift(PiecewiseLinearPath(path.times, values), 2, p=2.2)
 
 
@@ -363,6 +365,77 @@ def test_cell_update_is_recorded_with_its_split_count():
             assert flow.meta["cell_update"] == {"method": method, "split_cells": 2}
     flow = solve_rde(problem, 1.0 / 16, SolverControl(gauge_threshold=10.0)).flow
     assert flow.meta["cell_update"]["split_cells"] == 0
+
+
+_JUMPY_FAMILIES = (
+    VectorFieldFamily([LinearField(a) for a in _LANE_MATRICES]),
+    VectorFieldFamily([DecayField([1.0, 0.3]), DecayField([-0.2, 1.0])]),
+)
+
+
+def test_split_cells_match_the_per_call_gauge_recursion():
+    # the table's rows step exactly as halving each split cell at every call did:
+    # bit for bit through the jets kernel, to rounding through the cell matrices
+    y0 = np.array([0.4, -0.3])
+    grid = np.linspace(0.0, 1.0, 17)
+    control = SolverControl()
+    for scale, split_levels in ((1.0, 1), (3.0, 2)):
+        lift = _jumpy_lift(scale=scale)
+        for sigma, same in zip(_JUMPY_FAMILIES, (_close, np.array_equal)):
+            update = _cell_kernel(sigma)[0]
+            sol = solve_rde(RDEProblem(sigma, lift, y0, (0.0, 1.0), p=2.2), 1.0 / 16)
+            states, jac, deepest = gauge_split_flow(lift, grid, update, control, y0, True)
+            assert deepest >= split_levels
+            assert same(sol.states, states)
+            assert same(sol.flow.propagate(0.0, 1.0, y0, with_jacobian=True)[1], jac)
+            flow = solve_driver_flow(RoughDriver(sigma, lift, p=2.2), (0.0, 1.0), 1.0 / 16)
+            states, jac, _ = gauge_split_flow(lift, grid, update, control, y0, True, _driver_level2)
+            y, j, _ = flow.propagate(0.0, 1.0, y0, with_jacobian=True)
+            assert same(y, states[-1]) and same(j, jac)
+
+
+def test_split_cells_need_no_increments_at_run_time(monkeypatch):
+    calls = []
+    between = _CellTable.increment_between
+
+    def counted(table, a, b):
+        calls.append((a, b))
+        return between(table, a, b)
+
+    monkeypatch.setattr(_CellTable, "increment_between", counted)
+    y0 = np.array([0.4, -0.3])
+    for sigma in _JUMPY_FAMILIES:
+        flow = solve_rde(RDEProblem(sigma, _jumpy_lift(), y0, (0.0, 1.0), p=2.2), 1.0 / 16).flow
+        flow.map(0.0, 1.0, y0)
+        flow.propagate(0.0, 1.0, y0, with_jacobian=True)
+    assert calls == []
+
+
+def test_flow_composes_exactly_at_a_split_cells_midpoint():
+    # inside split cell 3 of the 16-cell grid, its midpoint is a node of the flow
+    y0 = np.array([0.4, -0.3])
+    s, mid = 3.0 / 16 + 0.01, 3.0 / 16 + 1.0 / 32
+    for sigma in _JUMPY_FAMILIES:
+        flow = solve_rde(RDEProblem(sigma, _jumpy_lift(), y0, (0.0, 1.0), p=2.2), 1.0 / 16).flow
+        assert np.array_equal(flow.map(s, 0.9, y0), flow.map(mid, 0.9, flow.map(s, mid, y0)))
+
+
+def test_solver_control_rejects_values_that_make_no_sense():
+    bad = {
+        "gauge_threshold": (0.0, -1.0, np.nan),
+        "blowup_limit": (0.0, np.nan),
+        "drift_delta": (-0.1, np.nan),
+        "condition_limit": (0.0, np.nan),
+        "max_split_depth": (-1, 1.5),
+        "retry_halvings": (-1, np.nan),
+        "drift_substeps": (0, 2.5),
+    }
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ArgumentError, match=name):
+                SolverControl(**{name: value})
+    SolverControl(gauge_threshold=np.inf, blowup_limit=np.inf, max_split_depth=0,
+                  retry_halvings=0, drift_substeps=1, condition_limit=np.inf)
 
 
 def test_cell_matrices_match_the_jets_kernel():
