@@ -142,7 +142,9 @@ def dyadic_noise(
     p: float = 2.5,
     count: int = 1,
 ) -> list:
-    """Realizations sampled on the two-sided dyadic grid of spacing 2^-level."""
+    """Realizations sampled on the two-sided dyadic grid of spacing 2^-level, level >= 0."""
+    if not (isinstance(level, (int, np.integer)) and level >= 0):
+        raise ArgumentError("dyadic level must be an integer >= 0", level=level)
     steps = 2.0 * float(t_max) * 2 ** int(level)
     if abs(steps - round(steps)) > _ALIGN_TOL:
         raise ArgumentError(

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ArgumentError
 from .tensor_algebra import (
-    MAX_LEVEL,
     GroupElement,
+    _check_level,
     batch_distance,
     batch_from_elements,
     batch_gather,
@@ -241,7 +241,7 @@ class SampledRoughPath:
         return i
 
     def levels_at(self, ts) -> list:
-        """Flat levels at increasing times inside the span, one row per time.
+        """Flat levels at times inside the span, one row per time.
 
         Grid nodes give their stored rows exactly; other times are completed on
         the geodesic of the bracketing increment (linear interpolation at
@@ -249,9 +249,10 @@ class SampledRoughPath:
         """
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.span
-        if ts[0] < lo - 1e-12 or ts[-1] > hi + 1e-12:
+        first, last = float(ts.min()), float(ts.max())
+        if not lo - 1e-12 <= first <= last <= hi + 1e-12:  # NaN fails too
             raise ArgumentError("resample times outside the lift span", span=(lo, hi),
-                                requested=(float(ts[0]), float(ts[-1])))
+                                requested=(first, last))
         idx = self.match_nodes(ts)
         out = [lvl[np.maximum(idx, 0)] for lvl in self.levels]
         off = np.flatnonzero(idx < 0)
@@ -316,8 +317,7 @@ def signature_lift(x: PiecewiseLinearPath, level: int, p: float = 1.0) -> Sample
     the result are therefore exact signatures and satisfy Chen's relation up to
     rounding.  Coefficients that overflow raise ArgumentError.
     """
-    if level > MAX_LEVEL:
-        raise ArgumentError("lift level above supported ceiling", level=level, max_level=MAX_LEVEL)
+    _check_level(level)
     lo, hi = x.span
     if lo <= 0.0 <= hi:
         x = x.with_nodes([0.0])

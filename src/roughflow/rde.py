@@ -18,7 +18,10 @@ them.  Flows with drift are solved by transformation: the driftless flow
 psi and its Jacobian are computed first, the drift is integrated through
 the auxiliary equation dy/du = (D psi)^{-1} b(psi(y)) on sub-intervals
 kept short enough that psi stays a diffeomorphism, and the semiflow is
-composed across sub-intervals.
+composed across sub-intervals.  For an all-linear family psi(a, u) is the
+stage propagator M(a, u), the same for every state, so each sub-interval
+builds the M(a, u) of all its RK stage times in one pass of left products
+over its rows, and a stage is y -> M^{-1} b(M y).
 
 State spaces are finite-dimensional; the scheme requires p < 3 (one level
 of area).
@@ -170,18 +173,19 @@ class _CellTable:
     geodesically on the grid's lift.  `lift` and `nodes` are the refined lift,
     `grid_rows` its grid nodes (a slice when no cell splits).  level2 maps (X1, X2)
     to the kernel's level-2 data: `one`, `two` per row, `cells` per whole cell.
-    `update` is sigma's cell step, `mats` each row's step matrix if all-linear.
+    `update` is sigma's cell step; if all-linear, `cell_matrices` maps level-2 data
+    to step matrices and `mats` holds each row's.
     """
 
     def __init__(self, lift: SampledRoughPath, nodes: np.ndarray, sigma, control, level2=None):
         self._level2 = level2 or (lambda one, two: two)
         self.control = control
-        self.update, cell_matrices = _cell_kernel(sigma)
+        self.update, self.cell_matrices = _cell_kernel(sigma)
         grid = self.lift = resample_lift(lift, nodes)
         one, two, flat = self._increments(grid.levels)
         self.cells = one, two
         self.report = {  # meta["cell_update"]
-            "method": "taylor_jets" if cell_matrices is None else "linear_propagator",
+            "method": "taylor_jets" if self.cell_matrices is None else "linear_propagator",
             "split_cells": int(np.count_nonzero(flat > control.gauge_threshold)),
         }
         depth = np.zeros(flat.size, dtype=int)
@@ -196,12 +200,13 @@ class _CellTable:
         self.nodes = self.lift.times
         self.grid_rows = slice(None) if self.lift is grid else np.searchsorted(self.nodes, nodes)
         self.one, self.two = one, two
-        self.mats = None if cell_matrices is None else cell_matrices(one, two)
+        self.mats = None if self.cell_matrices is None else self.cell_matrices(one, two)
 
-    def _increments(self, levels):
-        """(X1, level-2 data, gauge max(|X1|, |X2|)) between consecutive rows of levels."""
+    def _increments(self, levels, i=slice(None, -1), j=slice(1, None)):
+        """(X1, level-2 data, gauge max(|X1|, |X2|)) from rows i to rows j of levels
+        (by default between consecutive rows)."""
         d = self.lift.dim
-        one, two = batch_increments(levels, slice(None, -1), slice(1, None), d)[:2]
+        one, two = batch_increments(levels, i, j, d)[:2]
         flat = np.maximum(np.linalg.norm(one, axis=1), np.linalg.norm(two, axis=1))
         return one, self._level2(one, two.reshape(-1, d, d)), flat
 
@@ -375,13 +380,15 @@ class FlowMap:
 
     def _check_times(self, s, t):
         lo, hi = self.span
-        if s < lo - 1e-12 or t > hi + 1e-12 or t < s:
+        if not lo - 1e-12 <= s <= t <= hi + 1e-12:  # NaN fails too
             raise ArgumentError("times outside the flow span", times=(s, t), span=(lo, hi))
 
     def _state(self, y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.shape != (self.state_dim,):
             raise ArgumentError("state has wrong dimension", got=y.shape, dim=self.state_dim)
+        if not np.all(np.isfinite(y)):
+            raise ArgumentError("state must be finite")
         return y
 
     def map(self, s: float, t: float, y) -> np.ndarray:
@@ -400,6 +407,8 @@ class FlowMap:
         """
         self._check_times(s, t)
         y = self._state(y)
+        if renorm_interval is not None and not renorm_interval > 0.0:  # NaN fails too
+            raise ArgumentError("renorm_interval must be positive", renorm_interval=renorm_interval)
         if not with_jacobian:
             return (self.map(s, t, y), None, 0.0)
         if renorm_interval is None:
@@ -657,6 +666,55 @@ def _subdivide(one, two, grid: np.ndarray, p: float, delta: float) -> np.ndarray
     return np.asarray(bounds)
 
 
+def _stage_propagators(table, a, times):
+    """(M(a, u) for each time u >= a, growth bound) of a table with cell matrices.
+
+    M(a, u) is the Jacobian that _run(table, a, u, y, True) accumulates when no
+    step blows up, formed by the same products in the same order: an off-node a
+    or u adds a partial edge, completed geodesically as increment_between does
+    (all of them in one levels_at call), and one sweep of left products over the
+    rows from a gives every prefix.  The bound is the product of max(1, |N|_inf)
+    over every matrix N used, so |y|_inf times it caps every state that _run
+    forms from y on the way to any u, up to rounding.
+    """
+    nodes, lift = table.nodes, table.lift
+    m = table.mats.shape[-1]
+    i = int(lift.match_nodes(a))
+    first = i if i >= 0 else int(np.searchsorted(nodes, a, side="right"))
+    js = lift.match_nodes(times)
+    lasts = np.where(js >= 0, js, np.searchsorted(nodes, times, side="left") - 1).tolist()
+    ends = [a, nodes[first]] if i < 0 else []  # edge 0 when a is off-node
+    plan = []  # per time: (row count from first, partial edge index or None)
+    for u, j, last in zip(times, js.tolist(), lasts):
+        if u <= a + 1e-15 * max(1.0, abs(a)):
+            plan.append((None, None))
+        elif first > last or j < 0:
+            plan.append((None if first > last else last - first, len(ends) // 2))
+            ends += [a, u] if first > last else [nodes[last], u]
+        else:
+            plan.append((last - first, None))
+    edges = np.empty((0, m, m))
+    if ends:
+        one, two, _ = table._increments(lift.levels_at(ends), slice(0, None, 2), slice(1, None, 2))
+        # a unit row axis keeps the vector-matrix products of one edge at a time,
+        # which round differently from a batched matrix-matrix product
+        edges = table.cell_matrices(one[:, None], two[:, None])[:, 0]
+    rows = table.mats[first : max([first] + lasts)]
+    jac = edges[0] if i < 0 else np.eye(m)  # M @ I is M for finite M
+    prefix = [jac]
+    for mat in rows:
+        jac = mat @ jac
+        prefix.append(jac)
+    out = np.empty((len(times), m, m))
+    for k, (count, e) in enumerate(plan):
+        if count is None:
+            out[k] = np.eye(m) if e is None else edges[e]
+        else:
+            out[k] = prefix[count] if e is None else edges[e] @ prefix[count]
+    norms = np.abs(np.concatenate([rows, edges])).sum(axis=-1).max(axis=-1)
+    return out, float(np.prod(np.maximum(1.0, norms)))
+
+
 def drift_transform_solve(
     problem: RDEProblem,
     drift: DriftSpec,
@@ -670,10 +728,17 @@ def drift_transform_solve(
     by the increment scheme, the auxiliary state solves
     dy/du = (D psi)^{-1}(y) b(psi(y)) with a classical fourth-order method
     at fixed substep, and phi = psi o (aux flow); sub-intervals compose by
-    the semiflow property.  Jacobians of phi differentiate the composed
-    map directly (the transformation's exact variational system would need
-    second derivatives of psi) by central differences; ``meta["jacobian"]``
-    records the method and its relative step.
+    the semiflow property.  Jets families re-run psi from the sub-interval
+    start at every RK stage.  Cell-matrix families build the stage
+    propagators M(a, u) = psi(a, u) of every stage time once per
+    sub-interval (_stage_propagators) with their condition numbers and
+    inverses, and raise a condition error only when the RK loop reaches that
+    stage; a stage whose states could leave blowup_limit re-runs psi
+    instead, so halving and error times stay the per-stage scheme's.
+    Jacobians of phi differentiate the composed map directly (the
+    transformation's exact variational system would need second derivatives
+    of psi) by central differences; ``meta["jacobian"]`` records the method
+    and its relative step.
     """
     p = problem.regularity
     if not p < 3.0:
@@ -703,23 +768,54 @@ def drift_transform_solve(
             )
         return np.linalg.solve(jac, bfield.value(val))
 
+    def stage_field(a, times):
+        """f(k, z): the auxiliary field at stage time times[k], by aux_rhs for jets
+        families and by the stage propagators M(a, u) for cell-matrix families."""
+        def rerun(k, z):
+            return aux_rhs(a, times[k], z)
+
+        if table.mats is None:
+            return rerun
+        mats, growth = _stage_propagators(table, a, times)
+        if not np.all(np.isfinite(mats)):
+            return rerun
+        conds = np.linalg.cond(mats)
+        singular = conds > control.condition_limit  # these raise before their inverse is used
+        invs = np.linalg.inv(np.where(singular[:, None, None], np.eye(mats.shape[-1]), mats))
+        # half the limit leaves room for the rounding of the states _run would form
+        safe = 0.5 * control.blowup_limit / growth
+
+        def field(k, z):
+            if not np.abs(z).max() < safe:  # a state may leave the guard (NaN too)
+                return rerun(k, z)
+            if singular[k]:
+                raise NumericalError(
+                    "flow Jacobian singular to tolerance", time=float(times[k]), condition=float(conds[k])
+                )
+            return invs[k] @ bfield.value(mats[k] @ z)
+
+        return field
+
     def advance_sub(a, b, y):
-        # fourth-order integration of the auxiliary equation, then apply psi
+        # fourth-order integration of the auxiliary equation, then apply psi;
+        # stage times follow the recurrence u, u + h/2, u + h, u <- u + h
         h = (b - a) / control.drift_substeps
-        u = a
+        times = [a]
         for _ in range(control.drift_substeps):
-            k1 = aux_rhs(a, u, y)
-            k2 = aux_rhs(a, u + 0.5 * h, y + 0.5 * h * k1)
-            k3 = aux_rhs(a, u + 0.5 * h, y + 0.5 * h * k2)
-            k4 = aux_rhs(a, u + h, y + h * k3)
+            times += [times[-1] + 0.5 * h, times[-1] + h]
+        f = stage_field(a, times)
+        for k in range(0, len(times) - 1, 2):
+            k1 = f(k, y)
+            k2 = f(k + 1, y + 0.5 * h * k1)
+            k3 = f(k + 1, y + 0.5 * h * k2)
+            k4 = f(k + 2, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if _blown_up(y, control.blowup_limit):
                 raise DivergenceError(
                     "state exceeded the blow-up guard in the drift stage",
-                    time=float(u + h),
+                    time=float(times[k + 2]),
                     limit=control.blowup_limit,
                 )
-            u += h
         return _run(table, a, b, y, False)[0]
 
     def advance(s, t, y):

@@ -15,8 +15,9 @@ import itertools
 import numpy as np
 
 from roughflow.drivers import BracketField
-from roughflow.errors import DivergenceError
+from roughflow.errors import DivergenceError, NumericalError
 from roughflow.paths import resample_lift
+from roughflow.rde import _blown_up, _CellTable, _run, _solve_grid, _subdivide
 from roughflow.tensor_algebra import batch_increments
 
 
@@ -345,3 +346,41 @@ def gauge_split_flow(lift, grid, update, control, y, need_jac, level2=None):
         y, jac = advance(grid[k], grid[k + 1], states[-1], jac, 0, control.retry_halvings, cell)
         states.append(y)
     return np.array(states), jac, deepest
+
+
+def drift_map_by_stage_reruns(problem, drift, step, control, s, t, y):
+    """The drift flow's map from s to t with psi re-run from the sub-interval start at every stage.
+
+    Each of the four RK stages per substep calls _run(table, a, u, z, True) for psi(a, u)(z)
+    and its Jacobian, checks that Jacobian's condition number and solves
+    (D psi) k = b(psi(z)); the state is guarded after every substep and psi(a, b) closes each
+    sub-interval.  Sub-intervals are the flow's own (the drift budget over the cell table).
+    """
+    grid = _solve_grid(problem.interval, step)
+    table = _CellTable(problem.lift, grid, problem.sigma, control)
+    bounds = _subdivide(*table.cells, grid, max(problem.regularity, 1.0), control.drift_delta)
+    b_field = drift.as_field(problem.sigma.dim)
+
+    def aux_rhs(a, u, z):
+        val, jac = _run(table, a, u, z, True)
+        cond = float(np.linalg.cond(jac))
+        if cond > control.condition_limit:
+            raise NumericalError("flow Jacobian singular to tolerance", time=float(u), condition=cond)
+        return np.linalg.solve(jac, b_field.value(val))
+
+    y = np.asarray(y, dtype=float)
+    cuts = [s] + [float(c) for c in bounds if s < c < t] + [t]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        h = (b - a) / control.drift_substeps
+        u = a
+        for _ in range(control.drift_substeps):
+            k1 = aux_rhs(a, u, y)
+            k2 = aux_rhs(a, u + 0.5 * h, y + 0.5 * h * k1)
+            k3 = aux_rhs(a, u + 0.5 * h, y + 0.5 * h * k2)
+            k4 = aux_rhs(a, u + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if _blown_up(y, control.blowup_limit):
+                raise DivergenceError("state exceeded the blow-up guard in the drift stage", time=float(u + h))
+            u += h
+        y = _run(table, a, b, y, False)[0]
+    return y

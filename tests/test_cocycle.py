@@ -72,6 +72,12 @@ def test_shift_group_law_on_aligned_shifts():
     assert noise_distance(once, twice) < 1e-12
 
 
+def test_dyadic_noise_rejects_levels_that_are_not_whole_and_non_negative():
+    for level in (1.5, -1, -3):
+        with pytest.raises(ArgumentError, match="dyadic level"):
+            dyadic_noise(brownian_covariance(), level)
+
+
 def test_linear_path_realization_is_shift_invariant():
     t = np.linspace(-1.0, 1.0, 17)
     v = np.array([0.7, -0.3])

@@ -563,6 +563,20 @@ def test_signature_lift_matches_sequential_scalar_products():
         assert group_distance(got, want) <= 1e-12 * flat_norm(want)
 
 
+def test_signature_lift_and_levels_at_reject_bad_levels_and_times():
+    x = PiecewiseLinearPath([0.0, 0.5, 1.0], [[0.0], [1.0], [0.5]])
+    for level in (0, -1, 1.5):
+        with pytest.raises(ArgumentError, match="level"):
+            signature_lift(x, level)
+    lift = signature_lift(x, 2)
+    for ts in ([np.nan], [0.25, np.nan, 0.75], [-0.5]):
+        with pytest.raises(ArgumentError, match="span"):
+            lift.levels_at(ts)
+    # times need not be sorted: each row is its own time's
+    rows = lift.levels_at([0.75, 0.25])
+    assert all(np.array_equal(r[::-1], lv) for r, lv in zip(rows, lift.levels_at([0.25, 0.75])))
+
+
 def test_signature_lift_overflow_raises_instead_of_returning_non_finite_levels():
     x = PiecewiseLinearPath([0.0, 1.0, 2.0], [[0.0], [1e100], [0.0]])
     with pytest.raises(ArgumentError):

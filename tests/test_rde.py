@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import gauge_split_flow, propagate_by_map_differences
+from oracles import drift_map_by_stage_reruns, gauge_split_flow, propagate_by_map_differences
 from roughflow import (
     ArgumentError,
     CallableField,
@@ -40,7 +40,7 @@ from roughflow import (
     top_lyapunov_estimate,
 )
 from roughflow.paths import SampledRoughPath
-from roughflow.rde import _CellTable, _cell_kernel, _driver_level2
+from roughflow.rde import _CellTable, _cell_kernel, _driver_level2, _run, _solve_grid, _stage_propagators
 from roughflow.tensor_algebra import GroupElement
 
 
@@ -227,12 +227,23 @@ def test_flow_guards():
     lift = signature_lift(_line_path(), 2)
     problem = RDEProblem(_scalar_family(), lift, np.array([1.0]), (0.0, 1.0))
     flow = solve_rde(problem, 0.25).flow
-    with pytest.raises(ArgumentError):
-        flow.map(-0.5, 0.5, np.array([1.0]))
-    with pytest.raises(ArgumentError):
-        flow.map(0.8, 0.2, np.array([1.0]))
+    y = np.array([1.0])
+    for s, t in ((-0.5, 0.5), (0.8, 0.2), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(ArgumentError, match="span"):
+            flow.map(s, t, y)
     with pytest.raises(ArgumentError):
         flow.map(0.0, 1.0, np.array([1.0, 2.0]))
+    for state in (np.array([np.nan]), np.array([np.inf])):
+        with pytest.raises(ArgumentError, match="finite"):
+            flow.map(0.0, 1.0, state)
+    for interval in (0.0, -1.0, np.nan):
+        with pytest.raises(ArgumentError, match="renorm_interval"):
+            flow.propagate(0.0, 1.0, y, with_jacobian=True, renorm_interval=interval)
+    t = np.linspace(0.0, 60.0, 61)
+    flat = signature_lift(PiecewiseLinearPath(t, np.zeros((61, 1))), 2)
+    long_flow = solve_rde(RDEProblem(_scalar_family(), flat, y, (0.0, 60.0)), 1.0).flow
+    with pytest.raises(ArgumentError, match="renorm_interval"):
+        top_lyapunov_estimate([long_flow], y, renorm_interval=0.0)
 
 
 def test_zero_driver_gives_identity_flow():
@@ -650,6 +661,140 @@ def test_drift_flow_records_its_jacobian_method():
     assert got[2] != 0.0 and all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def _stage_times(a, b, substeps):
+    h = (b - a) / substeps
+    times = [a]
+    for _ in range(substeps):
+        times += [times[-1] + 0.5 * h, times[-1] + h]
+    return times
+
+
+def _raised(call):
+    try:
+        call()
+    except (DivergenceError, NumericalError) as err:
+        return type(err), err.details["time"], err.details.get("condition")
+    raise AssertionError("no error raised")
+
+
+def test_drift_stage_propagators_match_stage_reruns():
+    # cell-matrix families build each sub-interval's psi(a, u) once; the oracle
+    # re-runs psi from a at every RK stage
+    c11 = RDEProblem(
+        _scalar_family(), signature_lift(_smooth_path_1d(n=1025, amp=0.4, drift=0.2), 2),
+        np.array([1.25]), (0.0, 1.0),
+    )
+    jumpy = RDEProblem(_JUMPY_FAMILIES[0], _jumpy_lift(), np.array([0.4, -0.3]), (0.0, 1.0), p=2.2)
+    lin = DriftSpec(LinearField(-np.eye(2)))
+    cases = (
+        (c11, DriftSpec(LinearField([[-1.0]])), 1e-3, SolverControl(), ((0.0, 0.5), (0.33, 1.0))),
+        (_shear_noise_problem(), lin, 5e-3, SolverControl(),
+         ((0.0, 0.5), (0.25, 0.75), (0.3712, 0.9101))),
+        # rows of the split cells 3 and 10; 0.2 lies inside split cell 3
+        (jumpy, lin, 1.0 / 16, SolverControl(drift_substeps=4), ((0.0, 1.0), (0.2, 0.7))),
+        (jumpy, DriftSpec(lambda x: -x + 0.1 * x**3, dim=2), 1.0 / 16, SolverControl(),
+         ((0.2, 0.7),)),
+    )
+    for problem, drift, step, control, windows in cases:
+        flow = drift_transform_solve(problem, drift, step, control, force=True)
+        assert flow.meta["cell_update"]["method"] == "linear_propagator"
+        for s, t in windows:
+            got = flow.map(s, t, problem.y0)
+            assert _close(got, drift_map_by_stage_reruns(problem, drift, step, control, s, t, problem.y0))
+
+
+def test_stage_propagators_equal_the_runs_jacobians():
+    y = np.array([0.3, -0.2])
+    for lift, step in ((_shear_noise_problem().lift, 5e-3), (_jumpy_lift(), 1.0 / 16),
+                       (_jumpy_lift(scale=3.0), 1.0 / 16)):
+        table = _CellTable(lift, _solve_grid((0.0, 1.0), step), _JUMPY_FAMILIES[0], SolverControl())
+        for a, b in ((0.0, 0.5), (0.3712, 0.9101), (0.18, 0.22), (0.1, 0.1 + 1e-3)):
+            times = _stage_times(a, b, 16)
+            mats, growth = _stage_propagators(table, a, times)
+            assert growth >= 1.0
+            for u, mat in zip(times, mats):
+                assert np.array_equal(mat, _run(table, a, u, y, True)[1])
+
+
+def test_jets_drift_flows_match_stage_reruns_bitwise():
+    lift = _jumpy_lift()
+    y0 = np.array([0.4, -0.3])
+    drift = DriftSpec(LinearField(-np.eye(2)))
+    control = SolverControl(drift_substeps=4)
+    for sigma in (_JUMPY_FAMILIES[1], _jets_reference(_LANE_MATRICES)):
+        problem = RDEProblem(sigma, lift, y0, (0.0, 1.0), p=2.2)
+        flow = drift_transform_solve(problem, drift, 1.0 / 16, control)
+        assert flow.meta["cell_update"]["method"] == "taylor_jets"
+        for s, t in ((0.0, 1.0), (0.2, 0.7)):
+            want = drift_map_by_stage_reruns(problem, drift, 1.0 / 16, control, s, t, y0)
+            assert np.array_equal(flow.map(s, t, y0), want)
+
+
+def test_drift_stage_condition_error_matches_stage_reruns():
+    problem = _shear_noise_problem()
+    drift = DriftSpec(LinearField(-np.eye(2)))
+    flow = drift_transform_solve(problem, drift, 5e-3)
+    b = float(flow.meta["subdivision"][1])
+    times = _stage_times(0.0, b, 16)
+    table = _CellTable(problem.lift, _solve_grid((0.0, 1.0), 5e-3), problem.sigma, SolverControl())
+    conds = np.linalg.cond(_stage_propagators(table, 0.0, times)[0])
+    worst = int(np.argmax(conds))
+    control = SolverControl(condition_limit=float(np.nextafter(conds[worst], 0.0)))
+    got = _raised(lambda: drift_transform_solve(problem, drift, 5e-3, control).map(0.0, 1.0, problem.y0))
+    want = _raised(lambda: drift_map_by_stage_reruns(problem, drift, 5e-3, control, 0.0, 1.0, problem.y0))
+    assert got == want == (NumericalError, times[worst], conds[worst])
+
+
+def test_drift_stage_falls_back_to_stage_reruns_near_the_guard(monkeypatch):
+    # psi(0, u) = exp(40 u) leaves the guard 1e8 inside the one sub-interval: the
+    # stage reruns psi and halves, as the oracle does, before the DivergenceError
+    lift = signature_lift(_line_path(n=129), 2)
+    problem = RDEProblem(_scalar_family(((40.0,),)), lift, np.array([1.0]), (0.0, 1.0))
+    drift = DriftSpec(LinearField([[-1.0]]))
+    control = SolverControl(drift_delta=10.0)
+    got = _raised(lambda: drift_transform_solve(problem, drift, 2**-6, control).map(0.0, 1.0, problem.y0))
+    want = _raised(lambda: drift_map_by_stage_reruns(problem, drift, 2**-6, control, 0.0, 1.0, problem.y0))
+    assert got == want and got[0] is DivergenceError and 0.0 < got[1] < 1.0
+    # a guard within the bound's factor 2 of the states reruns psi too, and the map is unchanged
+    problem = _shear_noise_problem()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return _run(*args, **kwargs)
+
+    monkeypatch.setattr("roughflow.rde._run", counted)
+    lin = DriftSpec(LinearField(-np.eye(2)))
+    for limit, reruns in ((1e8, False), (1.0, True)):
+        control = SolverControl(blowup_limit=limit)
+        flow = drift_transform_solve(problem, lin, 5e-3, control)
+        calls.clear()
+        got = flow.map(0.0, 0.5, problem.y0)
+        subs = sum(1 for c in flow.meta["subdivision"] if 0.0 < c < 0.5) + 1
+        assert (len(calls) > subs) == reruns
+        assert _close(got, drift_map_by_stage_reruns(problem, lin, 5e-3, control, 0.0, 0.5, problem.y0))
+
+
+def test_drift_divergence_at_an_earlier_substep_comes_before_a_later_condition_error():
+    # one sub-interval [0, 1]: psi(0, u) = diag(exp(-2u), exp(-6u)) grows ill-conditioned,
+    # cond = exp(4u) > 40 from u = 0.92 on, while the drift 12 y takes the states past
+    # the guard 100 about halfway; every condition is known when the sub-interval starts
+    lift = signature_lift(_line_path(n=129), 2)
+    sigma = VectorFieldFamily([LinearField([[-2.0, 0.0], [0.0, -6.0]])])
+    problem = RDEProblem(sigma, lift, np.array([0.5, 0.5]), (0.0, 1.0))
+    drift = DriftSpec(LinearField(12.0 * np.eye(2)))
+    runs = {}
+    for name, limits in {"both": (100.0, 40.0), "guard": (100.0, 1e12), "condition": (1e30, 40.0)}.items():
+        control = SolverControl(blowup_limit=limits[0], condition_limit=limits[1], drift_delta=10.0)
+        flow = drift_transform_solve(problem, drift, 2**-6, control, force=True)
+        assert len(flow.meta["subdivision"]) == 2
+        runs[name] = _raised(lambda: flow.map(0.0, 1.0, problem.y0))
+        want = _raised(lambda: drift_map_by_stage_reruns(problem, drift, 2**-6, control, 0.0, 1.0, problem.y0))
+        assert runs[name] == want
+    assert runs["condition"][0] is NumericalError and runs["guard"][0] is DivergenceError
+    assert runs["both"] == runs["guard"]
+
+
 def test_drift_gate_and_force_override():
     lift = signature_lift(_line_path(n=65, span=(0.0, 0.25)), 2)
     sigma = VectorFieldFamily([ConstantField([0.0])])
@@ -677,7 +822,7 @@ def test_drift_blowup_guard():
 # ------------------------------------------------------------- cocycle
 
 
-def _flow_with_noise(step=1e-3, drift=None):
+def _shear_noise_problem():
     t = np.linspace(0.0, 1.0, 1001)
     x = np.stack(
         [0.3 * np.sin(2 * np.pi * t) + 0.2 * t, 0.25 * np.cos(3 * np.pi * t) - 0.25],
@@ -685,8 +830,11 @@ def _flow_with_noise(step=1e-3, drift=None):
     )
     x -= x[0]
     noise = noise_from_path(PiecewiseLinearPath(t, x), 2, p=2.2)
-    sigma = shear_pair_fields()
-    problem = RDEProblem(sigma, noise.omega, np.array([0.2, -0.4]), (0.0, 1.0), p=2.2, noise=noise)
+    return RDEProblem(shear_pair_fields(), noise.omega, np.array([0.2, -0.4]), (0.0, 1.0), p=2.2, noise=noise)
+
+
+def _flow_with_noise(step=1e-3, drift=None):
+    problem = _shear_noise_problem()
     if drift is None:
         return solve_rde(problem, step).flow
     return drift_transform_solve(problem, drift, step)
