@@ -11,7 +11,8 @@ plain matmuls; driver flows run the same kernel on the level-2 data
 For an all-linear family sigma_i(y) = A_i y the step is exactly y <- M y,
 M = I + sum_i X1_i A_i + sum_{ij} X2_{ij} A_j A_i for any level-2 data, and
 M is also its Jacobian.  The cell table splits cells above the gauge threshold
-into rows once, and each row is one step (one matmul by its M when all-linear).
+into rows once, and each row is one step (one matmul by its M when all-linear;
+one running product over the rows for a one-coordinate state).
 Jacobians propagate the derivative of the same scheme, never finite
 differences of the state, so adaptive substepping cannot desynchronize
 them.  Flows with drift are solved by transformation: the driftless flow
@@ -305,16 +306,29 @@ def _advance_segment(table, a, b, y, jac, retries, k=None):
 
 def _lane(table, k, stop, y, jac, rows):
     """Rows k..stop-1 by y <- M_c y, states into rows[1:] (rows[0] holds y); returns
-    (end, y, jac) with y the state at node end, and end < stop if row end blew up."""
+    (end, y, jac) with y the state at node end, and end < stop if row end blew up.
+
+    A one-coordinate state is a running product: np.cumprod over [y, M_k, ...] is a
+    sequential accumulate, so each step is the same IEEE multiply as M_c @ y and the
+    states and Jacobian equal the per-cell loop's bit for bit.
+    """
+    mats = table.mats[k:stop]
+    scalar = y.size == 1
     with np.errstate(over="ignore", invalid="ignore"):  # states past a blow-up are dropped
-        for i, mat in enumerate(table.mats[k:stop], 1):
-            y = rows[i] = mat @ y
+        if scalar:
+            rows[: stop - k + 1, 0] = np.cumprod(np.concatenate([y, mats[:, 0, 0]]))
+        else:
+            for i, mat in enumerate(mats, 1):
+                y = rows[i] = mat @ y
     bad = np.flatnonzero(_blown_up(rows[1 : stop - k + 1], table.control.blowup_limit))
     end = k + int(bad[0]) if bad.size else stop
     if jac is not None:
-        for mat in table.mats[k:end]:
-            jac = mat @ jac
-    return end, (y if end == stop else rows[end - k]), jac
+        if scalar:
+            jac = np.cumprod(np.concatenate([jac[0], mats[: end - k, 0, 0]]))[-1:, None]
+        else:
+            for mat in mats[: end - k]:
+                jac = mat @ jac
+    return end, rows[end - k].copy(), jac
 
 
 def _run(table, s, t, y, need_jac, out=None):
@@ -403,33 +417,60 @@ class FlowMap:
         """Advance the state; returns (y, jacobian, log_scale).
 
         The returned jacobian J satisfies D_y psi(s,t) = exp(log_scale) * J.
-        Without renormalization log_scale is 0.
+        Without renormalization log_scale is 0.  This is the batch of one of the
+        ensemble loop top_lyapunov_estimate runs (_propagate_members), so a flow's
+        (y, J, log_scale) are the same alone and in an ensemble; a one-coordinate
+        cell-matrix flow's J is a running product, bit-identical to the cell loop.
         """
-        self._check_times(s, t)
-        y = self._state(y)
-        if renorm_interval is not None and not renorm_interval > 0.0:  # NaN fails too
-            raise ArgumentError("renorm_interval must be positive", renorm_interval=renorm_interval)
         if not with_jacobian:
+            _check_renorm_interval(renorm_interval)
             return (self.map(s, t, y), None, 0.0)
-        if renorm_interval is None:
-            cuts = np.array([s, t])
-        else:
-            n = max(1, int(np.ceil((t - s) / renorm_interval - 1e-12)))
-            cuts = np.linspace(s, t, n + 1)
-        jac = np.eye(self.state_dim)
-        log_scale = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b <= a:
-                continue
-            y, seg = self._step(float(a), float(b), y, True)
-            jac = seg @ jac
-            if renorm_interval is not None:
-                q, r = np.linalg.qr(jac)
-                scale = float(np.linalg.norm(r, 2))
-                if scale > 0.0:
-                    jac = q @ (r / scale)
-                    log_scale += float(np.log(scale))
-        return y, jac, log_scale
+        ys, jacs, log_scales = _propagate_members([self], s, t, y, renorm_interval)
+        return ys[0], jacs[0], float(log_scales[0])
+
+
+def _check_renorm_interval(renorm_interval):
+    if renorm_interval is not None and not renorm_interval > 0.0:  # NaN fails too
+        raise ArgumentError("renorm_interval must be positive", renorm_interval=renorm_interval)
+
+
+def _propagate_members(flows, s, t, y0, renorm_interval):
+    """(states, Jacobians (B, m, m), log scales (B,)) of flows advanced together from y0.
+
+    [s, t] is cut into segments of at most renorm_interval (one segment without it).
+    Every member runs its own step over a segment, then the stacked Jacobian products
+    are renormalized in one np.linalg.qr and one np.linalg.svd call for all members:
+    LAPACK runs the same routine on each member as on a lone matrix, so a member's
+    results do not depend on the ensemble around it.  A step that raises stops the
+    loop, so among several failing members the earliest segment wins and list order
+    breaks ties.
+    """
+    _check_renorm_interval(renorm_interval)
+    ys = []
+    for f in flows:
+        f._check_times(s, t)
+        ys.append(f._state(y0))
+    if renorm_interval is None:
+        cuts = [s, t]
+    else:
+        n = max(1, int(np.ceil((t - s) / renorm_interval - 1e-12)))
+        cuts = np.linspace(s, t, n + 1).tolist()
+    jacs = np.tile(np.eye(ys[0].size), (len(flows), 1, 1))
+    log_scales = np.zeros(len(flows))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b <= a:
+            continue
+        segs = np.empty_like(jacs)
+        for k, f in enumerate(flows):
+            ys[k], segs[k] = f._step(float(a), float(b), ys[k], True)
+        jacs = segs @ jacs
+        if renorm_interval is not None:
+            q, r = np.linalg.qr(jacs)
+            scales = np.linalg.svd(r, compute_uv=False)[:, 0]
+            kept = np.where(scales > 0.0, scales, 1.0)  # a zero product stays as it is
+            jacs = np.where((scales > 0.0)[:, None, None], q @ (r / kept[:, None, None]), jacs)
+            log_scales += np.log(kept)
+    return ys, jacs, log_scales
 
 
 @dataclass(frozen=True)
@@ -768,7 +809,23 @@ def drift_transform_solve(
             )
         return np.linalg.solve(jac, bfield.value(val))
 
-    def stage_field(a, times):
+    def stage_matrices(a, times):
+        """(M(a, u), their conditions, inverses, growth bound), or None if some M is not finite."""
+        mats, growth = _stage_propagators(table, a, times)
+        if not np.all(np.isfinite(mats)):
+            return None
+        conds = np.linalg.cond(mats)
+        # singular stages raise before their inverse is used
+        invs = np.linalg.inv(np.where((conds > control.condition_limit)[:, None, None],
+                                      np.eye(mats.shape[-1]), mats))
+        return mats, conds, invs, growth
+
+    # stage matrices of the sub-intervals between two subdivision bounds, which
+    # every map across them shares; partial end sub-intervals are built per call
+    memo = {}
+    bound_set = set(bounds.tolist())
+
+    def stage_field(a, b, times):
         """f(k, z): the auxiliary field at stage time times[k], by aux_rhs for jets
         families and by the stage propagators M(a, u) for cell-matrix families."""
         def rerun(k, z):
@@ -776,12 +833,16 @@ def drift_transform_solve(
 
         if table.mats is None:
             return rerun
-        mats, growth = _stage_propagators(table, a, times)
-        if not np.all(np.isfinite(mats)):
+        if a in bound_set and b in bound_set:
+            if (a, b) not in memo:
+                memo[a, b] = stage_matrices(a, times)
+            built = memo[a, b]
+        else:
+            built = stage_matrices(a, times)
+        if built is None:
             return rerun
-        conds = np.linalg.cond(mats)
-        singular = conds > control.condition_limit  # these raise before their inverse is used
-        invs = np.linalg.inv(np.where(singular[:, None, None], np.eye(mats.shape[-1]), mats))
+        mats, conds, invs, growth = built
+        singular = conds > control.condition_limit
         # half the limit leaves room for the rounding of the states _run would form
         safe = 0.5 * control.blowup_limit / growth
 
@@ -803,7 +864,7 @@ def drift_transform_solve(
         times = [a]
         for _ in range(control.drift_substeps):
             times += [times[-1] + 0.5 * h, times[-1] + h]
-        f = stage_field(a, times)
+        f = stage_field(a, b, times)
         for k in range(0, len(times) - 1, 2):
             k1 = f(k, y)
             k2 = f(k + 1, y + 0.5 * h * k1)
@@ -920,7 +981,11 @@ def top_lyapunov_estimate(
     Jacobians are renormalized every renorm_interval time units by a QR
     factorization whose scalar scale is accumulated in log space, so the
     reported exponent is exact up to the scheme error even over horizons
-    where the raw product would overflow.
+    where the raw product would overflow.  All flows advance together, segment
+    by segment, and each segment renormalizes every member in one stacked QR;
+    per_sample equals each flow's own propagate bit for bit.  When several
+    flows fail, the error of the earliest segment is raised, the first such
+    flow in list order on a tie.
     """
     flows = list(flows)
     if not flows:
@@ -932,13 +997,8 @@ def top_lyapunov_estimate(
     horizon = hi - lo
     if horizon < 50.0:
         raise ArgumentError("horizon too short for a Lyapunov estimate", horizon=horizon)
-    rates = []
-    for f in flows:
-        _, jac, log_scale = f.propagate(
-            lo, hi, x0, with_jacobian=True, renorm_interval=renorm_interval
-        )
-        rates.append((log_scale + float(np.log(np.linalg.norm(jac, 2)))) / horizon)
-    rates = np.asarray(rates)
+    _, jacs, log_scales = _propagate_members(flows, lo, hi, x0, renorm_interval)
+    rates = (log_scales + np.log(np.linalg.svd(jacs, compute_uv=False)[:, 0])) / horizon
     value = float(np.mean(rates))
     stderr = float(np.std(rates, ddof=1) / np.sqrt(len(rates))) if len(rates) > 1 else 0.0
     return LyapunovEstimate(

@@ -384,3 +384,58 @@ def drift_map_by_stage_reruns(problem, drift, step, control, s, t, y):
             u += h
         y = _run(table, a, b, y, False)[0]
     return y
+
+
+def lane_by_cells(table, k, stop, y, jac, rows):
+    """rde._lane as one matmul per row: rows k..stop-1 by y <- M_c y, states into rows[1:].
+
+    Returns (end, y, jac) with y the state at node end, end < stop if row end blew up;
+    the Jacobian is the left product of the rows before end, one matmul at a time.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # states past a blow-up are dropped
+        for i, mat in enumerate(table.mats[k:stop], 1):
+            y = rows[i] = mat @ y
+    bad = np.flatnonzero(_blown_up(rows[1 : stop - k + 1], table.control.blowup_limit))
+    end = k + int(bad[0]) if bad.size else stop
+    if jac is not None:
+        for mat in table.mats[k:end]:
+            jac = mat @ jac
+    return end, (y if end == stop else rows[end - k]), jac
+
+
+def propagate_by_flow(flow, s, t, y, renorm_interval=None):
+    """(y, J, log_scale) of one flow, stepping its segments and renormalizing one matrix at a time.
+
+    With renorm_interval, [s, t] is cut into ceil((t - s) / renorm_interval) equal segments;
+    after each, J is QR-factored and divided by the spectral norm of r, whose log is summed.
+    """
+    y = np.asarray(y, dtype=float)
+    if renorm_interval is None:
+        cuts = np.array([s, t])
+    else:
+        n = max(1, int(np.ceil((t - s) / renorm_interval - 1e-12)))
+        cuts = np.linspace(s, t, n + 1)
+    jac = np.eye(y.size)
+    log_scale = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b <= a:
+            continue
+        y, seg = flow._step(float(a), float(b), y, True)
+        jac = seg @ jac
+        if renorm_interval is not None:
+            q, r = np.linalg.qr(jac)
+            scale = float(np.linalg.norm(r, 2))
+            if scale > 0.0:
+                jac = q @ (r / scale)
+                log_scale += float(np.log(scale))
+    return y, jac, log_scale
+
+
+def lyapunov_rates_by_flow(flows, x0, renorm_interval=1.0):
+    """Per-flow growth rates (log_scale + log |J|_2) / T, one propagate_by_flow per flow."""
+    lo, hi = flows[0].span
+    rates = []
+    for flow in flows:
+        _, jac, log_scale = propagate_by_flow(flow, lo, hi, x0, renorm_interval)
+        rates.append((log_scale + float(np.log(np.linalg.norm(jac, 2)))) / (hi - lo))
+    return tuple(rates)

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import drift_map_by_stage_reruns, gauge_split_flow, propagate_by_map_differences
+from oracles import (
+    drift_map_by_stage_reruns,
+    gauge_split_flow,
+    lane_by_cells,
+    lyapunov_rates_by_flow,
+    propagate_by_flow,
+    propagate_by_map_differences,
+)
 from roughflow import (
     ArgumentError,
     CallableField,
@@ -529,6 +536,58 @@ def test_blowup_guard_catches_overflow_with_infinite_limit():
             solve_rde(problem, 2**-7, SolverControl(blowup_limit=np.inf))
 
 
+def _scalar_lane_outputs(problem, step, control, propagate):
+    sol = solve_rde(problem, step, control)
+    flow, y = sol.flow, problem.y0
+    lo, hi = flow.span
+    mid = lo + 0.3712 * (hi - lo)
+    out = [sol.states, flow.map(lo, hi, y), flow.map(mid, hi, y)]
+    for renorm_interval in (None, (hi - lo) / 7):
+        for s in (lo, mid):
+            y_end, jac, log_scale = propagate(flow, s, hi, y, renorm_interval)
+            out += [y_end, jac, np.array([log_scale])]
+    return out
+
+
+def test_scalar_lane_is_the_cell_loop_bitwise(monkeypatch):
+    # a one-coordinate lane is one running product; the oracle is one matmul per row
+    span = (0.0, 60.0)
+    brownian = RDEProblem(
+        _scalar_family(), signature_lift(_brownian_path(3, 60 * 32 + 1, span, scale=2.0), 2, p=2.2),
+        np.array([0.7]), span, p=2.2,
+    )
+    split = RDEProblem(
+        VectorFieldFamily([LinearField([[0.7]]), LinearField([[-0.4]])]), _jumpy_lift(),
+        np.array([0.3]), (0.0, 1.0), p=2.2,
+    )
+    assert solve_rde(split, 1.0 / 16).flow.meta["cell_update"]["split_cells"] == 2
+
+    def propagate(flow, s, t, y, renorm_interval):
+        return flow.propagate(s, t, y, with_jacobian=True, renorm_interval=renorm_interval)
+
+    for problem, step, control in ((brownian, 1.0 / 32, SolverControl(blowup_limit=1e300)),
+                                   (split, 1.0 / 16, SolverControl())):
+        got = _scalar_lane_outputs(problem, step, control, propagate)
+        with monkeypatch.context() as patch:
+            patch.setattr("roughflow.rde._lane", lane_by_cells)
+            want = _scalar_lane_outputs(problem, step, control, propagate_by_flow)
+        assert got[-1][0] != 0.0  # log_scale of a renormalized run
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_scalar_lane_blowups_match_the_cell_loop(monkeypatch):
+    lift = signature_lift(_line_path(n=129), 2)
+    for matrix, control in (([[40.0]], SolverControl()),
+                            ([[5000.0]], SolverControl(blowup_limit=np.inf))):
+        problem = RDEProblem(_scalar_family(matrix), lift, np.array([2.0]), (0.0, 1.0))
+        got = _raised(lambda: solve_rde(problem, 2**-7, control))
+        with monkeypatch.context() as patch:
+            patch.setattr("roughflow.rde._lane", lane_by_cells)
+            want = _raised(lambda: solve_rde(problem, 2**-7, control))
+        assert got == want and got[0] is DivergenceError and 0.0 < got[1] < 1.0
+
+
 def test_solution_csv_roundtrip():
     lift = signature_lift(_line_path(n=9), 2)
     problem = RDEProblem(_scalar_family(), lift, np.array([1.0]), (0.0, 1.0))
@@ -795,6 +854,43 @@ def test_drift_divergence_at_an_earlier_substep_comes_before_a_later_condition_e
     assert runs["both"] == runs["guard"]
 
 
+def test_drift_stage_matrices_are_built_once_per_whole_sub_interval(monkeypatch):
+    # sub-intervals between two subdivision bounds keep their stage matrices;
+    # a partial first or last sub-interval is built on every call
+    problem = _shear_noise_problem()
+    lin = DriftSpec(LinearField(-np.eye(2)))
+    builds = []
+
+    def counted(table, a, times):
+        builds.append(a)
+        return _stage_propagators(table, a, times)
+
+    monkeypatch.setattr("roughflow.rde._stage_propagators", counted)
+    flow = drift_transform_solve(problem, lin, 5e-3)
+    bounds = flow.meta["subdivision"]
+    y = problem.y0
+    first = flow.map(0.0, 1.0, y)
+    assert builds == bounds[:-1].tolist()
+    for s, t, partial in ((0.0, 1.0, []), (0.25, 0.75, None), (0.3712, 0.9101, None)):
+        if partial is None:  # the two partial ends of the window
+            partial = [s, max(c for c in bounds if c < t)]
+        want = drift_transform_solve(problem, lin, 5e-3).map(s, t, y)
+        for _ in range(2):
+            builds.clear()
+            assert np.array_equal(flow.map(s, t, y), want)
+            assert builds == partial
+    assert np.array_equal(first, flow.map(0.0, 1.0, y))
+    # errors stay lazy: a memoised singular stage raises on every call, at its own time
+    b = float(bounds[1])
+    conds = np.linalg.cond(counted(_CellTable(problem.lift, _solve_grid((0.0, 1.0), 5e-3),
+                                              problem.sigma, SolverControl()),
+                                   0.0, _stage_times(0.0, b, 16))[0])
+    control = SolverControl(condition_limit=float(np.nextafter(conds.max(), 0.0)))
+    singular = drift_transform_solve(problem, lin, 5e-3, control)
+    raised = [_raised(lambda: singular.map(0.0, 1.0, y)) for _ in range(2)]
+    assert raised[0] == raised[1] and raised[0][0] is NumericalError
+
+
 def test_drift_gate_and_force_override():
     lift = signature_lift(_line_path(n=65, span=(0.0, 0.25)), 2)
     sigma = VectorFieldFamily([ConstantField([0.0])])
@@ -918,6 +1014,77 @@ def test_lyapunov_guards():
     short = solve_rde(problem, 0.25).flow
     with pytest.raises(ArgumentError):
         top_lyapunov_estimate([short], np.array([1.0]))
+
+
+def _scalar_brownian_flows(seeds, span, step, scale=1.0, dim=1, family=None):
+    flows = []
+    for seed in seeds:
+        nodes = int(round((span[1] - span[0]) / step)) + 1
+        lift = signature_lift(_brownian_path(seed, nodes, span, dim=dim, scale=scale), 2, p=2.2)
+        y0 = np.full(dim, 0.5)
+        problem = RDEProblem(family or _scalar_family(), lift, y0, span, p=2.2)
+        flows.append(solve_rde(problem, step, SolverControl(blowup_limit=1e300)).flow)
+    return flows
+
+
+def test_lyapunov_ensemble_equals_the_per_flow_loop():
+    # the stacked renormalization gives every member the rate of its own propagate
+    c13 = _scalar_brownian_flows(range(1300, 1305), (0.0, 50.0), 2.0**-5)
+    pair = VectorFieldFamily([LinearField(a) for a in _LANE_MATRICES])
+    planar = _scalar_brownian_flows(range(20, 24), (0.0, 50.0), 1.0 / 16, scale=0.8, dim=2, family=pair)
+    t = np.linspace(0.0, 60.0, 61)
+    flat = signature_lift(PiecewiseLinearPath(t, np.zeros((61, 1))), 2)
+    decay = drift_transform_solve(
+        RDEProblem(VectorFieldFamily([ConstantField([0.0])]), flat, np.array([1.0]), (0.0, 60.0)),
+        DriftSpec(LinearField([[-1.0]])), 1.0, SolverControl(drift_substeps=2),
+    )
+    mixed = ([decay] + _scalar_brownian_flows([7], (0.0, 60.0), 1.0 / 16)
+             + _scalar_brownian_flows([8], (0.0, 60.0), 1.0 / 32, scale=1.5))
+    for flows, x0, renorm_interval in ((c13, [1.0], 1.0), (c13, [1.0], 0.3),
+                                       (planar, [1.0, -0.5], 1.0), (mixed, [0.8], 1.0)):
+        est = top_lyapunov_estimate(flows, np.array(x0), renorm_interval)
+        assert est.per_sample == lyapunov_rates_by_flow(flows, np.array(x0), renorm_interval)
+    assert len(set(est.per_sample)) == 3
+
+
+def _line_growth_flow(rate, y0=1e-30):
+    # dy = rate y dx along x(t) = t: psi(0, t) y = exp(rate t) y crosses the
+    # guard 1e8 from y = 1 at t = ln(1e8) / rate, far above the solve's own y0
+    t = np.linspace(0.0, 60.0, 481)
+    lift = signature_lift(PiecewiseLinearPath(t, t[:, None]), 2)
+    return solve_rde(RDEProblem(_scalar_family([[rate]]), lift, np.array([y0]), (0.0, 60.0)), 0.125).flow
+
+
+def test_lyapunov_ensemble_raises_the_earliest_segments_error():
+    healthy = _scalar_brownian_flows([1, 2], (0.0, 60.0), 0.125)
+    slow, fast, faster = (_line_growth_flow(rate) for rate in (0.5, 1.0, 0.51))
+    x0 = np.array([1.0])
+
+    def own(flow):
+        return _raised(lambda: flow.propagate(0.0, 60.0, x0, with_jacobian=True, renorm_interval=1.0))
+
+    def ensemble(flows):
+        return _raised(lambda: top_lyapunov_estimate(flows, x0))
+
+    assert own(slow)[0] is DivergenceError and 36.0 < own(slow)[1] < 37.0
+    assert ensemble([healthy[0], slow, healthy[1]]) == own(slow)
+    # fast fails in segment [18, 19], before slow does, though it comes later in the list
+    assert ensemble([healthy[0], slow, fast]) == own(fast)
+    # slow and faster both fail in segment [36, 37]: list order breaks the tie
+    assert own(faster)[1] < own(slow)[1]
+    assert ensemble([slow, faster]) == own(slow)
+    assert ensemble([faster, slow]) == own(faster)
+
+
+def test_lyapunov_ensemble_guards():
+    scalar = _scalar_brownian_flows([1], (0.0, 60.0), 0.125)
+    planar = _scalar_brownian_flows([2], (0.0, 60.0), 0.125, dim=2,
+                                    family=VectorFieldFamily([LinearField(a) for a in _LANE_MATRICES]))
+    with pytest.raises(ArgumentError, match="dimension"):
+        top_lyapunov_estimate(scalar + planar, np.array([1.0]))
+    for interval in (0.0, np.nan):
+        with pytest.raises(ArgumentError, match="renorm_interval"):
+            top_lyapunov_estimate(scalar, np.array([1.0]), renorm_interval=interval)
 
 
 # -------------------------------------------------- local Taylor remainder
