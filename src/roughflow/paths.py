@@ -248,6 +248,8 @@ class SampledRoughPath:
         level 1, the group exponential of the scaled log at higher levels).
         """
         ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1 or ts.size == 0:
+            raise ArgumentError("expected a non-empty 1-D array of times", shape=ts.shape)
         lo, hi = self.span
         first, last = float(ts.min()), float(ts.max())
         if not lo - 1e-12 <= first <= last <= hi + 1e-12:  # NaN fails too

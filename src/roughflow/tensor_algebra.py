@@ -10,11 +10,12 @@ Frobenius norm.  Frobenius is compatible with the tensor product in the exact
 sense |v (x) w| = |v| |w|, which several invariants below rely on.
 
 Batched kernels (leading axis = batch, level k flattened to d**k columns)
-carry every lift: signature lifts, resampling and geodesic completion, cell
-increments, shifts and the all-pairs/all-triples verification sweeps.  The
-scalar log, exp and geodesic are batches of one through them; the scalar
-tensor_mul and tensor_inv stay as written, as the per-element reference the
-tests hold the batched products to.
+are the only implementation of the group operations.  They carry every lift:
+signature lifts, resampling and geodesic completion, cell increments, shifts
+and the all-pairs/all-triples verification sweeps.  The GroupElement API
+(product, inverse, segment exponential, log, exp, geodesic) runs each
+operation as a batch of one; the per-element loops it replaced are the test
+oracles.
 """
 
 from __future__ import annotations
@@ -51,15 +52,19 @@ def _check_level(level: int) -> None:
         raise ArgumentError("truncation level above supported ceiling", level=level, max_level=MAX_LEVEL)
 
 
+def _check_group(dim: int, level: int) -> None:
+    _check_level(level)
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ArgumentError("dimension must be a positive integer", dim=dim)
+
+
 class GroupElement:
     """Point of the truncated tensor group with unit scalar part."""
 
     __slots__ = ("dim", "level", "levels")
 
     def __init__(self, dim: int, level: int, levels):
-        _check_level(level)
-        if dim < 1:
-            raise ArgumentError("dimension must be positive", dim=dim)
+        _check_group(dim, level)
         if len(levels) != level:
             raise ArgumentError("wrong number of level arrays", expected=level, got=len(levels))
         stored = []
@@ -100,7 +105,17 @@ class GroupElement:
 
 
 def identity_element(dim: int, level: int) -> GroupElement:
+    _check_group(dim, level)
     return GroupElement(dim, level, [np.zeros((dim,) * k) for k in range(1, level + 1)])
+
+
+def _as_batch(g: GroupElement):
+    return [lvl.reshape(1, -1) for lvl in g.levels]
+
+
+def _element(levels, dim: int, level: int) -> GroupElement:
+    """Row 0 of batched flat levels as a GroupElement, which checks their count, shapes and finiteness."""
+    return GroupElement(dim, level, [lvl[0] for lvl in levels])
 
 
 def segment_exponential(increment, level: int) -> GroupElement:
@@ -108,62 +123,26 @@ def segment_exponential(increment, level: int) -> GroupElement:
 
     Level k is v^{tensor k} / k!; for one segment this is the exact lift.
     """
-    v = np.asarray(increment, dtype=float).reshape(-1)
-    levels = []
-    power = v.copy()
-    levels.append(power)
-    for k in range(2, level + 1):
-        power = np.multiply.outer(power, v) / k
-        levels.append(power)
-    return GroupElement(v.size, level, levels)
+    _check_level(level)
+    v = np.asarray(increment, dtype=float).reshape(1, -1)
+    return _element(batch_segment_exponential(v, level), v.shape[1], level)
 
 
 def _check_pair(g: GroupElement, h: GroupElement) -> None:
     if g.dim != h.dim or g.level != h.level:
-        raise ArgumentError(
-            "group elements live in different truncated groups",
-            left=(g.dim, g.level),
-            right=(h.dim, h.level),
-        )
+        raise ArgumentError("group elements live in different truncated groups",
+                            left=(g.dim, g.level), right=(h.dim, h.level))
 
 
 def tensor_mul(g: GroupElement, h: GroupElement) -> GroupElement:
     """Truncated tensor product: level k of g (x) h is sum_i g_i (x) h_{k-i}."""
     _check_pair(g, h)
-    out = []
-    for k in range(1, g.level + 1):
-        acc = g.levels[k - 1] + h.levels[k - 1]  # i = k and i = 0 terms
-        for i in range(1, k):
-            acc = acc + np.multiply.outer(g.levels[i - 1], h.levels[k - i - 1])
-        out.append(acc)
-    return GroupElement(g.dim, g.level, out)
-
-
-def _nilpotent_mul(a, b, level):
-    """Product of two series with zero scalar part (levels as lists, 1-indexed)."""
-    out = [None] * level
-    for k in range(2, level + 1):
-        acc = None
-        for i in range(1, k):
-            if a[i - 1] is None or b[k - i - 1] is None:
-                continue
-            term = np.multiply.outer(a[i - 1], b[k - i - 1])
-            acc = term if acc is None else acc + term
-        out[k - 1] = acc
-    return out
+    return _element(batch_mul(_as_batch(g), _as_batch(h), g.dim), g.dim, g.level)
 
 
 def tensor_inv(g: GroupElement) -> GroupElement:
     """Group inverse via the truncated Neumann series (1 + a)^{-1} = sum (-a)^j."""
-    neg = [-lvl for lvl in g.levels]
-    total = [lvl.copy() for lvl in neg]
-    power = neg
-    for _ in range(2, g.level + 1):
-        power = _nilpotent_mul(power, neg, g.level)
-        for k in range(g.level):
-            if power[k] is not None:
-                total[k] = total[k] + power[k]
-    return GroupElement(g.dim, g.level, total)
+    return _element(batch_inv(_as_batch(g), g.dim), g.dim, g.level)
 
 
 def flat_norm(g: GroupElement) -> float:
@@ -191,19 +170,14 @@ def homogeneous_gauge(g: GroupElement) -> float:
     return best
 
 
-def _as_batch(g: GroupElement):
-    return [lvl.reshape(1, -1) for lvl in g.levels]
-
-
 def group_log(g: GroupElement):
     """Truncated series log(1 + a) = a - a^2/2 + a^3/3 - ...; returns level arrays."""
-    return [lvl.reshape((g.dim,) * k) for k, lvl in enumerate(batch_log(_as_batch(g), g.dim), start=1)]
+    return list(_element(batch_log(_as_batch(g), g.dim), g.dim, g.level).levels)
 
 
 def group_exp(levels, dim: int, level: int) -> GroupElement:
-    """Truncated exp of a series with zero scalar part (inverse of group_log)."""
-    a = [np.asarray(lvl, dtype=float).reshape(1, -1) for lvl in levels]
-    return GroupElement(dim, level, [lvl[0] for lvl in batch_exp(a, dim)])
+    """Truncated exp of a series with zero scalar part (inverse of group_log); GroupElement checks its levels."""
+    return _element(batch_exp(_as_batch(GroupElement(dim, level, levels)), dim), dim, level)
 
 
 def geodesic_point(g0: GroupElement, g1: GroupElement, frac: float) -> GroupElement:
@@ -213,8 +187,9 @@ def geodesic_point(g0: GroupElement, g1: GroupElement, frac: float) -> GroupElem
     endpoints up to rounding.
     """
     _check_pair(g0, g1)
-    out = batch_geodesic(_as_batch(g0), _as_batch(g1), [frac], g0.dim)
-    return GroupElement(g0.dim, g0.level, [lvl[0] for lvl in out])
+    if np.ndim(frac):
+        raise ArgumentError("geodesic parameter must be a scalar", shape=np.shape(frac))
+    return _element(batch_geodesic(_as_batch(g0), _as_batch(g1), [frac], g0.dim), g0.dim, g0.level)
 
 
 # ---------------------------------------------------------------------------
@@ -237,32 +212,20 @@ def batch_from_elements(elements) -> list:
     ]
 
 
-def batch_mul(a, b, dim: int):
-    level = len(a)
-    out = []
-    for k in range(1, level + 1):
-        acc = a[k - 1] + b[k - 1]
+def _cross(a, b, out):
+    """Add sum_{0<i<k} a_i (x) b_{k-i} into out[k] at every level, skipping None levels; returns out."""
+    for k in range(2, len(out) + 1):
         for i in range(1, k):
-            left = a[i - 1]
-            right = b[k - i - 1]
-            prod = np.einsum("bi,bj->bij", left, right).reshape(left.shape[0], -1)
-            acc = acc + prod
-        out.append(acc)
-    return out
-
-
-def _batch_nilpotent_mul(a, b):
-    level = len(a)
-    out = [None] * level
-    for k in range(2, level + 1):
-        acc = None
-        for i in range(1, k):
-            if a[i - 1] is None or b[k - i - 1] is None:
+            left, right = a[i - 1], b[k - i - 1]
+            if left is None or right is None:
                 continue
-            prod = np.einsum("bi,bj->bij", a[i - 1], b[k - i - 1]).reshape(a[i - 1].shape[0], -1)
-            acc = prod if acc is None else acc + prod
-        out[k - 1] = acc
+            prod = np.einsum("bi,bj->bij", left, right).reshape(left.shape[0], -1)
+            out[k - 1] = prod if out[k - 1] is None else out[k - 1] + prod
     return out
+
+
+def batch_mul(a, b, dim: int):
+    return _cross(a, b, [x + y for x, y in zip(a, b)])
 
 
 def _batch_series(a, coeff):
@@ -271,7 +234,7 @@ def _batch_series(a, coeff):
     total = [lvl.copy() for lvl in a]
     power = a
     for j in range(2, level + 1):
-        power = _batch_nilpotent_mul(power, a)
+        power = _cross(power, a, [None] * level)
         c = coeff(j)
         for k in range(level):
             if power[k] is not None:

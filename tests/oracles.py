@@ -2,10 +2,11 @@
 
 Everything here is deliberately written against the definitions (Riemann sums,
 exhaustive enumeration, finite differences) rather than through the library's
-own fast paths, so agreement is evidence and not tautology.  The all-pairs
-sweeps build the increment of every node pair with the library's group product
-(checked on its own against the scalar tensor_mul) and keep the full n x n
-weight matrix.
+own fast paths, so agreement is evidence and not tautology.  The per-element
+tensor loops are the reference for the batched group product, inverse and
+segment exponential.  The all-pairs sweeps build the increment of every node
+pair with the library's batched group product (held to those loops bit for bit)
+and keep the full n x n weight matrix.
 """
 
 from __future__ import annotations
@@ -37,6 +38,56 @@ def riemann_iterated_integrals(path_values, level):
             S[k - 1] = S[k - 1] + np.multiply.outer(S[k - 2], dx)
         S[0] = S[0] + dx
     return S
+
+
+def tensor_mul_loop(g, h):
+    """Truncated tensor product of level lists: level k is g_k + h_k + sum_{0<i<k} g_i (x) h_{k-i}."""
+    out = []
+    for k in range(1, len(g) + 1):
+        acc = g[k - 1] + h[k - 1]  # i = k and i = 0 terms
+        for i in range(1, k):
+            acc = acc + np.multiply.outer(g[i - 1], h[k - i - 1])
+        out.append(acc)
+    return out
+
+
+def _nilpotent_mul_loop(a, b, level):
+    """Product of two series with zero scalar part (levels as lists, None for a zero level)."""
+    out = [None] * level
+    for k in range(2, level + 1):
+        acc = None
+        for i in range(1, k):
+            if a[i - 1] is None or b[k - i - 1] is None:
+                continue
+            term = np.multiply.outer(a[i - 1], b[k - i - 1])
+            acc = term if acc is None else acc + term
+        out[k - 1] = acc
+    return out
+
+
+def tensor_inv_loop(g):
+    """Group inverse of a level list via the truncated Neumann series (1 + a)^{-1} = sum (-a)^j."""
+    level = len(g)
+    neg = [-lvl for lvl in g]
+    total = [lvl.copy() for lvl in neg]
+    power = neg
+    for _ in range(2, level + 1):
+        power = _nilpotent_mul_loop(power, neg, level)
+        for k in range(level):
+            if power[k] is not None:
+                total[k] = total[k] + power[k]
+    return total
+
+
+def segment_exponential_loop(increment, level):
+    """Levels v^{tensor k} / k! of one linear segment with increment v."""
+    v = np.asarray(increment, dtype=float).reshape(-1)
+    levels = [v.copy()]
+    power = v
+    for k in range(2, level + 1):
+        power = np.multiply.outer(power, v) / k
+        levels.append(power)
+    return levels
 
 
 def pvar_exhaustive(values, p):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 from roughflow.cli import list_registry, load_config, main, validate_config
 from roughflow.errors import ConfigError
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "roughflow" / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
+CONFIG_DIR = SRC / "roughflow" / "configs"
 LINEAR = CONFIG_DIR / "linear_rde.json"
 FBM = CONFIG_DIR / "fbm_cocycle.json"
 
@@ -446,12 +448,20 @@ def test_extension_kernel_usable(tmp_path):
     assert main(["run", _write(tmp_path, config), "--out", str(tmp_path / "out")]) == 0
 
 
+def _src_env():
+    """This process's environment with the checkout's src first on PYTHONPATH, for child interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "roughflow.cli", "run", str(LINEAR), "--out",
          str(tmp_path / "out")],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert "all checks passed" in proc.stdout
@@ -462,6 +472,6 @@ def test_import_loads_no_scipy():
         "import sys, roughflow, roughflow.cli\n"
         "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

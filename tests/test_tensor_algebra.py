@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from roughflow.errors import ArgumentError
 from roughflow.tensor_algebra import (
+    MAX_LEVEL,
     GroupElement,
     batch_distance,
     batch_from_elements,
@@ -20,7 +23,12 @@ from roughflow.tensor_algebra import (
     tensor_mul,
 )
 
-from oracles import riemann_iterated_integrals
+from oracles import (
+    riemann_iterated_integrals,
+    segment_exponential_loop,
+    tensor_inv_loop,
+    tensor_mul_loop,
+)
 
 
 def random_element(rng, dim, level, scale=1.0):
@@ -165,6 +173,34 @@ def test_argument_errors():
         identity_element(2, 5)
     with pytest.raises(ArgumentError):
         GroupElement(2, 2, [np.array([1.0, np.nan]), np.zeros((2, 2))])
+    for level in (0, -1, 1.5, MAX_LEVEL + 1):
+        with pytest.raises(ArgumentError, match="truncation level"):
+            segment_exponential([1.0, 2.0], level)
+    with pytest.raises(ArgumentError, match="wrong number of level arrays"):
+        group_exp([np.ones(2), np.zeros((2, 2))], 2, 3)
+    big = GroupElement(1, 2, [[1e200], [0.0]])
+    for overflow in (lambda: tensor_mul(big, big), lambda: tensor_inv(big),
+                     lambda: segment_exponential([1e200], 2)):
+        with pytest.raises(ArgumentError, match="non-finite"):
+            overflow()
+
+
+def test_scalar_api_equals_the_per_element_loops():
+    # d 1-4, levels 1-4, dilations 1e-3, 1 and 1e3 (level k scaled by s**k), 40 random pairs each
+    rng = np.random.default_rng(25)
+    for dim, level, scale in itertools.product(range(1, 5), range(1, MAX_LEVEL + 1), (1e-3, 1.0, 1e3)):
+        for _ in range(40):
+            g, h = (
+                GroupElement(dim, level, [scale**k * rng.uniform(-1, 1, (dim,) * k) for k in range(1, level + 1)])
+                for _ in range(2)
+            )
+            v = scale * rng.normal(size=dim)
+            for got, want in (
+                (tensor_mul(g, h), tensor_mul_loop(g.levels, h.levels)),
+                (tensor_inv(g), tensor_inv_loop(g.levels)),
+                (segment_exponential(v, level), segment_exponential_loop(v, level)),
+            ):
+                assert all(np.array_equal(a, b) for a, b in zip(got.levels, want, strict=True))
 
 
 def test_batched_ops_match_scalar_ops():
