@@ -621,34 +621,15 @@ def main(argv=None) -> int:
     p_list = sub.add_parser("list", help="list registered kernels, families, checks")
     p_list.add_argument("config", nargs="?", default=None)
     args = parser.parse_args(argv)
-
-    if args.command == "list":
-        config = None
-        if args.config:
-            try:
-                config, _ = load_config(args.config)
-            except ConfigError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 2
-        print(list_registry(config))
-        return 0
-
-    if args.command == "validate":
-        try:
-            config, _ = load_config(args.config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        print(f"ok: {config['name']}")
-        return 0
-
     try:
+        if args.command == "list":
+            print(list_registry(load_config(args.config)[0] if args.config else None))
+            return 0
         config, raw = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = _resolve_out_dir(config, args.out)
-    try:
+        if args.command == "validate":
+            print(f"ok: {config['name']}")
+            return 0
+        out_dir = _resolve_out_dir(config, args.out)
         code, record = run_experiment(config, raw, out_dir, args.seed, args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

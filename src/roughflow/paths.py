@@ -69,7 +69,9 @@ def write_csv(fileobj, prefix: str, times, rows) -> None:
 
 
 def _as_times(times) -> np.ndarray:
-    t = np.asarray(times, dtype=float).reshape(-1)
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    if t.ndim != 1:
+        raise ArgumentError("times must be a 1-D array", shape=t.shape)
     if t.size < 2:
         raise ArgumentError("need at least two time nodes", count=t.size)
     if not np.all(np.isfinite(t)):
@@ -308,6 +310,7 @@ def _running_products(exps) -> list:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # from_levels rejects overflowed levels
 def signature_lift(x: PiecewiseLinearPath, level: int, p: float = 1.0) -> SampledRoughPath:
     """Exact step-level signature lift of a piecewise-linear path, as level arrays.
 

@@ -379,7 +379,10 @@ class FlowMap:
     spectral norm as an exactly-accumulated scalar so that long-horizon
     products never overflow.  psi(s, s) is the identity, and composition over
     the cell table's nodes (grid nodes and the midpoints of split cells) is
-    exact because both sides run the identical row sequence.
+    exact because both sides run the identical row sequence.  Every solver's
+    meta holds kind, step, control and cell_update; a flow solved with noise set
+    adds noise and rebuild, and rebuild(noise, interval) is the same solve on
+    other noise over interval.
     """
 
     def __init__(self, grid, step, state_dim, meta=None):
@@ -503,6 +506,27 @@ def _solve_grid(interval, step) -> np.ndarray:
     return grid
 
 
+def _flow(grid, step_fn, dim, table, noise, rebuild, **meta) -> FlowMap:
+    """FlowMap with meta, then the table's cell_update and, when noise is set, noise and rebuild."""
+    meta["cell_update"] = table.report
+    if noise is not None:
+        meta.update(noise=noise, rebuild=rebuild)
+    return FlowMap(grid, step_fn, dim, meta)
+
+
+def _problem_table(problem: RDEProblem, step, control):
+    """(solve grid, cell table) of an RDE problem."""
+    if not problem.regularity < 3.0:
+        raise ArgumentError("scheme needs p < 3 (one level of area)", p=problem.regularity)
+    grid = _solve_grid(problem.interval, step)
+    return grid, _CellTable(problem.lift, grid, problem.sigma, control)
+
+
+def _on_noise(problem: RDEProblem, noise, interval) -> RDEProblem:
+    """The problem driven by noise.omega over interval."""
+    return dataclasses.replace(problem, driver=noise.omega, noise=noise, interval=interval)
+
+
 def solve_rde(problem: RDEProblem, step: float, control: SolverControl = SolverControl()) -> RDESolution:
     """Integrate dz = sigma(z) dX with the second-order increment scheme.
 
@@ -513,24 +537,10 @@ def solve_rde(problem: RDEProblem, step: float, control: SolverControl = SolverC
     for an all-linear family sigma_i(y) = A_i y every row steps by its y <- M_k y.
     ``flow.meta["cell_update"]`` records the step used and the split cell count.
     """
-    p = problem.regularity
-    if not p < 3.0:
-        raise ArgumentError("scheme needs p < 3 (one level of area)", p=p)
-    grid = _solve_grid(problem.interval, step)
-    table = _CellTable(problem.lift, grid, problem.sigma, control)
-    meta = {"kind": "rde", "step": float(step), "problem": problem, "control": control,
-            "cell_update": table.report}
-    if problem.noise is not None:
-        meta["noise"] = problem.noise
-
-        def rebuild(noise, interval):
-            shifted = dataclasses.replace(
-                problem, driver=noise.omega, noise=noise, interval=interval
-            )
-            return solve_rde(shifted, step, control).flow
-
-        meta["rebuild"] = rebuild
-    flow = FlowMap(grid, functools.partial(_run, table), problem.sigma.dim, meta)
+    grid, table = _problem_table(problem, step, control)
+    flow = _flow(grid, functools.partial(_run, table), problem.sigma.dim, table, problem.noise,
+                 lambda noise, interval: solve_rde(_on_noise(problem, noise, interval), step, control).flow,
+                 kind="rde", step=float(step), problem=problem, control=control)
     states = np.empty((table.nodes.size, problem.sigma.dim))
     _run(table, grid[0], grid[-1], problem.y0, False, out=states)
     return RDESolution(grid, states[table.grid_rows], flow)
@@ -559,20 +569,15 @@ def solve_driver_flow(
         )
     grid = _solve_grid(interval, step)
     table = _CellTable(driver.lift, grid, driver.sigma, control, _driver_level2)
-    meta = {"kind": "driver_flow", "step": float(step), "control": control,
-            "cell_update": table.report}
-    if noise is not None:
-        meta["noise"] = noise
 
-        def rebuild(new_noise, new_interval):
-            moved = RoughDriver(
-                driver.sigma, new_noise.omega, p=driver.p, rho=driver.rho,
-                check_geometric=False,
-            )
-            return solve_driver_flow(moved, new_interval, step, control, new_noise)
+    def rebuild(new_noise, new_interval):
+        moved = RoughDriver(
+            driver.sigma, new_noise.omega, p=driver.p, rho=driver.rho, check_geometric=False
+        )
+        return solve_driver_flow(moved, new_interval, step, control, new_noise)
 
-        meta["rebuild"] = rebuild
-    return FlowMap(grid, functools.partial(_run, table), driver.sigma.dim, meta)
+    return _flow(grid, functools.partial(_run, table), driver.sigma.dim, table, noise, rebuild,
+                 kind="driver_flow", step=float(step), control=control)
 
 
 # ------------------------------------------------------------------- drift
@@ -781,9 +786,7 @@ def drift_transform_solve(
     of psi) by central differences; ``meta["jacobian"]`` records the method
     and its relative step.
     """
-    p = problem.regularity
-    if not p < 3.0:
-        raise ArgumentError("scheme needs p < 3 (one level of area)", p=p)
+    grid, table = _problem_table(problem, step, control)
     m = problem.sigma.dim
     bfield = drift.as_field(m)
     probe = BoxSpec(radius=max(4.0, 2.0 * float(np.max(np.abs(problem.y0))))).points(m)
@@ -796,9 +799,7 @@ def drift_transform_solve(
             c1=report.c1,
             c1_doubled=report.c1_doubled,
         )
-    grid = _solve_grid(problem.interval, step)
-    table = _CellTable(problem.lift, grid, problem.sigma, control)
-    bounds = _subdivide(*table.cells, grid, max(p, 1.0), control.drift_delta)
+    bounds = _subdivide(*table.cells, grid, max(problem.regularity, 1.0), control.drift_delta)
 
     def aux_rhs(a, u, y):
         val, jac = _run(table, a, u, y, True)
@@ -891,26 +892,11 @@ def drift_transform_solve(
             jac = central_difference(lambda z: advance(s, t, z), y, _FD_STEP * (1.0 + np.abs(y)))
         return advance(s, t, y), jac
 
-    meta = {
-        "kind": "drift_flow",
-        "step": float(step),
-        "control": control,
-        "growth_report": report,
-        "subdivision": bounds,
-        "jacobian": {"method": "central_difference", "relative_step": _FD_STEP},
-        "cell_update": table.report,
-    }
-    if problem.noise is not None:
-        meta["noise"] = problem.noise
-
-        def rebuild(noise, interval):
-            shifted = dataclasses.replace(
-                problem, driver=noise.omega, noise=noise, interval=interval
-            )
-            return drift_transform_solve(shifted, drift, step, control, force=force)
-
-        meta["rebuild"] = rebuild
-    return FlowMap(bounds, drift_step, m, meta)
+    return _flow(bounds, drift_step, m, table, problem.noise,
+                 lambda noise, interval: drift_transform_solve(
+                     _on_noise(problem, noise, interval), drift, step, control, force=force),
+                 kind="drift_flow", step=float(step), control=control, growth_report=report,
+                 subdivision=bounds, jacobian={"method": "central_difference", "relative_step": _FD_STEP})
 
 
 # -------------------------------------------------------- cocycle residual
@@ -939,16 +925,10 @@ def rds_cocycle_residual(flow: FlowMap, s: float, t: float, h: float, test_point
         raise ArgumentError("shifted window outside the flow span", window=(s + h, t + h))
     shifted_flow = rebuild(shift_omega(noise, h), (lo - h, hi - h))
     pts = np.atleast_2d(np.asarray(test_points, dtype=float))
-    worst = 0.0
-    for x in pts:
-        gap = flow.map(s + h, t + h, x) - shifted_flow.map(s, t, x)
-        worst = max(worst, float(np.max(np.abs(gap))))
+    gaps = [flow.map(s + h, t + h, x) - shifted_flow.map(s, t, x) for x in pts]
     if h >= 0.0 and lo <= 0.0 and t + h <= hi + 1e-12 and t >= 0.0:
-        for x in pts:
-            through = shifted_flow.map(0.0, t, flow.map(0.0, h, x))
-            gap = flow.map(0.0, t + h, x) - through
-            worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+        gaps += [shifted_flow.map(0.0, t, flow.map(0.0, h, x)) - flow.map(0.0, t + h, x) for x in pts]
+    return max([0.0] + [float(np.max(np.abs(gap))) for gap in gaps])
 
 
 # ------------------------------------------------------------------ Lyapunov

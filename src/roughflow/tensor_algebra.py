@@ -15,7 +15,8 @@ signature lifts, resampling and geodesic completion, cell increments, shifts
 and the all-pairs/all-triples verification sweeps.  The GroupElement API
 (product, inverse, segment exponential, log, exp, geodesic) runs each
 operation as a batch of one; the per-element loops it replaced are the test
-oracles.
+oracles.  Those entry points run with overflow warnings off, because
+GroupElement's finiteness check turns an overflow into ArgumentError.
 """
 
 from __future__ import annotations
@@ -118,6 +119,7 @@ def _element(levels, dim: int, level: int) -> GroupElement:
     return GroupElement(dim, level, [lvl[0] for lvl in levels])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def segment_exponential(increment, level: int) -> GroupElement:
     """Group exponential of a single linear segment with value increment v.
 
@@ -134,12 +136,14 @@ def _check_pair(g: GroupElement, h: GroupElement) -> None:
                             left=(g.dim, g.level), right=(h.dim, h.level))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def tensor_mul(g: GroupElement, h: GroupElement) -> GroupElement:
     """Truncated tensor product: level k of g (x) h is sum_i g_i (x) h_{k-i}."""
     _check_pair(g, h)
     return _element(batch_mul(_as_batch(g), _as_batch(h), g.dim), g.dim, g.level)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def tensor_inv(g: GroupElement) -> GroupElement:
     """Group inverse via the truncated Neumann series (1 + a)^{-1} = sum (-a)^j."""
     return _element(batch_inv(_as_batch(g), g.dim), g.dim, g.level)
@@ -170,16 +174,19 @@ def homogeneous_gauge(g: GroupElement) -> float:
     return best
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def group_log(g: GroupElement):
     """Truncated series log(1 + a) = a - a^2/2 + a^3/3 - ...; returns level arrays."""
     return list(_element(batch_log(_as_batch(g), g.dim), g.dim, g.level).levels)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def group_exp(levels, dim: int, level: int) -> GroupElement:
     """Truncated exp of a series with zero scalar part (inverse of group_log); GroupElement checks its levels."""
     return _element(batch_exp(_as_batch(GroupElement(dim, level, levels)), dim), dim, level)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def geodesic_point(g0: GroupElement, g1: GroupElement, frac: float) -> GroupElement:
     """Point at parameter frac on the one-parameter geodesic from g0 to g1.
 

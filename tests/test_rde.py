@@ -36,6 +36,7 @@ from roughflow import (
     RoughDriver,
     SolverControl,
     VectorFieldFamily,
+    decay_fields,
     drift_growth_check,
     drift_transform_solve,
     noise_from_path,
@@ -962,6 +963,40 @@ def test_rds_cocycle_with_drift():
     pts = np.array([[0.2, -0.4], [0.4, 0.3]])
     res = rds_cocycle_residual(flow, 0.0, 0.5, 0.25, pts)
     assert res < 1e-5
+
+
+FLOW_META_KEYS = {
+    "rde": ["kind", "step", "problem", "control", "cell_update"],
+    "driver_flow": ["kind", "step", "control", "cell_update"],
+    "drift_flow": ["kind", "step", "control", "growth_report", "subdivision", "jacobian", "cell_update"],
+}
+
+
+@pytest.mark.parametrize("family", [shear_pair_fields(), decay_fields(2, 2)], ids=["shear", "decay"])
+def test_every_flow_kind_carries_its_meta_and_rebuilds_on_its_noise(family):
+    # a two-sided Brownian noise: 193 nodes on [-1.5, 1.5], one per solve step
+    noise = noise_from_path(_brownian_path(28, 193, (-1.5, 1.5), dim=2), 2)
+    span, step = noise.omega.span, 1.0 / 64
+    pts = np.array([[0.2, -0.4], [0.5, 0.1]])
+    for carried in (None, noise):
+        problem = RDEProblem(family, noise.omega, np.array([0.3, -0.2]), span, noise=carried)
+        flows = {
+            "rde": solve_rde(problem, step).flow,
+            "driver_flow": solve_driver_flow(RoughDriver(family, noise.omega), span, step, noise=carried),
+            "drift_flow": drift_transform_solve(problem, DriftSpec(LinearField(-np.eye(2))), step),
+        }
+        for kind, flow in flows.items():
+            assert flow.meta["kind"] == kind
+            if carried is None:
+                assert list(flow.meta) == FLOW_META_KEYS[kind]
+                continue
+            assert list(flow.meta) == FLOW_META_KEYS[kind] + ["noise", "rebuild"]
+            assert flow.meta["noise"] is noise
+            again = flow.meta["rebuild"](noise, flow.span)
+            assert np.array_equal(again.map(0.5, 1.0, pts[0]), flow.map(0.5, 1.0, pts[0]))
+    driver_flow = flows["driver_flow"]
+    assert rds_cocycle_residual(driver_flow, -0.5, 0.75, 0.25, pts) <= 1e-12
+    assert rds_cocycle_residual(driver_flow, -0.5, 0.75, 0.0, pts) == 0.0
 
 
 # ------------------------------------------------------------ Lyapunov

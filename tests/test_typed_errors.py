@@ -96,6 +96,8 @@ def _lift_cases(rng, dim, level):
         lambda: resample_lift(lift, [lo, hi + 1.0]),
         lambda: resample_lift(lift, [hi, lo]),
         lambda: resample_lift(lift, [lo]),
+        lambda: resample_lift(lift, np.linspace(lo, hi, 4).reshape(2, 2)),
+        lambda: PiecewiseLinearPath(np.linspace(lo, hi, 4).reshape(2, 2), np.zeros((4, dim))),
         lambda: lift.levels_at([_pick(rng, (np.nan, np.inf, lo - 1.0, hi + 1.0))]),
         lambda: lift.levels_at([]),
         lambda: lift.levels_at([[lo, hi]]),
